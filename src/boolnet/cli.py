@@ -72,7 +72,6 @@ class RunManifest:
     argv: list[str]
     config: dict
     seed: int
-    threads: int | None
     package_version: str = __version__
     numpy_version: str = np.__version__
     adam: dict = field(
@@ -89,13 +88,6 @@ class RunManifest:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-
-def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _data_path(cfg, args) -> str:
@@ -214,7 +206,6 @@ def cmd_train(args) -> int:
     apply_overrides(cfg, args.set or [])
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
-    _set_threads(args.threads)
     os.makedirs(args.out, exist_ok=True)
 
     dataset, encoder, splits = _prepare(cfg, args)
@@ -276,7 +267,6 @@ def cmd_train(args) -> int:
         argv=list(sys.argv[1:]),
         config=cfg,
         seed=tconf.seed,
-        threads=args.threads,
         dataset_provenance=dataset.provenance,
         outputs=[ck_path, metrics_path, curves_path],
         started_utc=_utcnow(),
@@ -349,7 +339,6 @@ def cmd_prune(args) -> int:
     t_start = time.monotonic()
     cfg = load_config(args.config)
     apply_overrides(cfg, args.set or [])
-    _set_threads(args.threads)
     os.makedirs(args.out, exist_ok=True)
 
     circuit, thresholds, _ = _load_circuit(args)
@@ -418,7 +407,6 @@ def cmd_prune(args) -> int:
         argv=list(sys.argv[1:]),
         config=cfg,
         seed=cfg["train"]["seed"],
-        threads=args.threads,
         dataset_provenance=provenance,
         outputs=[netlist_path, report_path],
         started_utc=_utcnow(),
@@ -433,7 +421,6 @@ def cmd_eval(args) -> int:
     t_start = time.monotonic()
     cfg = load_config(args.config)
     apply_overrides(cfg, args.set or [])
-    _set_threads(args.threads)
 
     circuit, thresholds, _ = _load_circuit(args)
     bits, labels, provenance = _encoded_split_for_circuit(
@@ -464,7 +451,6 @@ def cmd_eval(args) -> int:
             argv=list(sys.argv[1:]),
             config=cfg,
             seed=cfg["train"]["seed"],
-            threads=args.threads,
             dataset_provenance=provenance,
             outputs=outputs,
             started_utc=_utcnow(),
@@ -509,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", action="append", metavar="SECTION.KEY=VALUE",
             help="override a config value (repeatable)",
         )
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument(
             "--data", help=f"dataset directory (or ${DATA_DIR_ENV})"
         )

@@ -7,6 +7,10 @@ entry). Replacements inherit w_floor, the smallest surviving weight, so
 the hardened argmax choice of a slot with non-degenerate weights is never
 disturbed. New indices are sampled outside the kept set: a collision
 would just duplicate a parameter.
+
+Gradient-guided sampling scores a whole layer per slice of input columns
+with one matrix product and keeps a running best-R set per slot, so extra
+memory is O((batch + S) * chunk) whatever the fan-in width I.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import numpy as np
 from .errors import StructuralError, UsageError
 from .model import LayerParams
 
-# Fixed slice width for streaming gradient scans; memory use is
-# O(batch * chunk), independent of the fan-in width I.
+# Columns per slice when scoring one slot. A whole layer sizes its slices so
+# a (batch + S) x chunk float64 array is BLOCK_BYTES; a few such are live.
 CHUNK = 1024
+BLOCK_BYTES = 4 << 20
 
 
 def sample_random(
@@ -41,12 +46,79 @@ def sample_random(
 def connection_scores_chunk(x_cols: np.ndarray, dy_slot: np.ndarray) -> np.ndarray:
     """Per-input-column connection gradient: sum_b (2x - 1) * dy.
 
-    Reduction runs along the batch axis only, so scores are bitwise
-    identical whether columns are scored in one call or in slices.
+    dy_slot is (batch,) or (batch, S), giving (cols,) or (S, cols). Rows
+    are added one at a time in batch order, so a score never depends on
+    how the columns are sliced (numpy's sum goes pairwise on one column).
     """
     x_cols = np.asarray(x_cols, dtype=np.float64)
     dy_slot = np.asarray(dy_slot, dtype=np.float64)
-    return ((2.0 * x_cols - 1.0) * dy_slot[:, None]).sum(axis=0)
+    out = np.zeros(dy_slot.shape[1:] + x_cols.shape[1:])
+    for sign, d in zip(2.0 * x_cols - 1.0, dy_slot):
+        out += np.multiply.outer(d, sign)
+    return out
+
+
+def _exact_slots(dy: np.ndarray) -> np.ndarray:
+    """Slots whose scores every summation order computes exactly: dy[:, s]
+    is a multiple of q, the smallest power of two dividing all of it, so
+    with binary x every partial sum is a multiple of q no larger than
+    sum |dy[:, s]|, and below 2**53 * q no addition rounds."""
+    m, e = np.frexp(dy)
+    n = (m * 2.0**53).astype(np.int64)
+    q = np.where(n != 0, np.ldexp((n & -n).astype(np.float64), e - 53), np.inf)
+    return np.abs(dy).sum(axis=0) < np.ldexp(q.min(axis=0, initial=np.inf), 53)
+
+
+def _guided_top_r(
+    R: int, I: int, x: np.ndarray, dy: np.ndarray, kept: np.ndarray, chunk: int
+) -> np.ndarray:
+    """(S, R) indices: for each column s of dy (B, S), the R most negative
+    connection gradients outside kept[s], ordered by (score, index).
+
+    A slice is scored for all slots at once as 2 * dy.T @ x - sum_b dy;
+    slots that BLAS summation order could round differently are rescored
+    by connection_scores_chunk, so every score equals the oracle's.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != I:
+        raise StructuralError(f"x must be (batch, {I})")
+    dy = np.asarray(dy, dtype=np.float64)
+    k = np.sort(np.where((kept >= 0) & (kept < I), kept, -1), axis=1)
+    k[:, 1:][k[:, 1:] == k[:, :-1]] = -1  # count each exclusion once
+    n_excl = (k >= 0).sum(axis=1).max(initial=0)
+    if I - n_excl < R:
+        raise StructuralError(
+            f"cannot draw {R} indices from [0,{I}) excluding {n_excl}"
+        )
+    S = dy.shape[1]
+    if R == 0:
+        return np.empty((S, 0), dtype=np.int64)
+
+    ex_row, ex_idx = np.nonzero(k >= 0)[0], k[k >= 0]
+    loose = np.flatnonzero(~_exact_slots(dy))
+    best_vals, best_idx = np.empty((S, 0)), np.empty((S, 0), dtype=np.int64)
+    for lo in range(0, I, chunk):
+        hi = min(lo + chunk, I)
+        xc = x[:, lo:hi].astype(np.float64)
+        block = 2.0 * (dy.T @ xc) - dy.sum(axis=0)[:, None]
+        block[loose] = connection_scores_chunk(xc, dy[:, loose])
+        hit = (ex_idx >= lo) & (ex_idx < hi)
+        block[ex_row[hit], ex_idx[hit] - lo] = np.inf
+        # The best set is kept in index order, so column order is index
+        # order and ties at the R-th score go to the leftmost entries.
+        vals = np.concatenate([best_vals, block], axis=1)
+        idx = np.concatenate(
+            [best_idx, np.broadcast_to(np.arange(lo, hi), block.shape)], axis=1
+        )
+        if vals.shape[1] > R:
+            t = np.partition(vals, R - 1, axis=1)[:, R - 1 : R].copy()
+            less, tie = vals < t, vals == t
+            need = R - less.sum(axis=1, keepdims=True)
+            take = less | (tie & (np.cumsum(tie, axis=1) <= need))
+            vals, idx = vals[take].reshape(S, R), idx[take].reshape(S, R)
+        best_vals, best_idx = vals, idx
+    order = np.lexsort((best_idx, best_vals), axis=1)
+    return np.take_along_axis(best_idx, order, axis=1)
 
 
 def sample_gradient_guided(
@@ -59,40 +131,16 @@ def sample_gradient_guided(
 ) -> np.ndarray:
     """Indices of the R most negative connection gradients, streaming.
 
-    Scans the I columns in fixed-size slices and keeps a running best-R
-    (score, index) set, so peak extra memory is O(batch * chunk) no matter
-    how wide the layer is. Ties break toward the lower index; excluded
+    The single-slot case of the whole-layer scan, in slices of `chunk`
+    columns: peak extra memory is O((batch + 1) * chunk) no matter how
+    wide the layer is. Ties break toward the lower index; excluded
     (kept) candidates are never returned.
     """
     if x is None or dy_slot is None:
         raise UsageError("gradient-guided sampling needs a batch (x, dy)")
-    x = np.asarray(x)
-    dy_slot = np.asarray(dy_slot)
-    if x.ndim != 2 or x.shape[1] != I:
-        raise StructuralError(f"x must be (batch, {I})")
-    excl = np.unique(np.asarray(list(exclude), dtype=np.int64).reshape(-1))
-    excl = excl[(excl >= 0) & (excl < I)]
-    if I - excl.size < R:
-        raise StructuralError(
-            f"cannot draw {R} indices from [0,{I}) excluding {excl.size}"
-        )
-    if R == 0:
-        return np.empty(0, dtype=np.int64)
-
-    best_vals = np.empty(0, dtype=np.float64)
-    best_idx = np.empty(0, dtype=np.int64)
-    for lo in range(0, I, chunk):
-        hi = min(lo + chunk, I)
-        vals = connection_scores_chunk(x[:, lo:hi], dy_slot)
-        masked = excl[(excl >= lo) & (excl < hi)] - lo
-        vals[masked] = np.inf
-        vals = np.concatenate([best_vals, vals])
-        idx = np.concatenate([best_idx, np.arange(lo, hi, dtype=np.int64)])
-        # Primary key: score ascending (most negative first); ties by index.
-        order = np.lexsort((idx, vals))[:R]
-        best_vals = vals[order]
-        best_idx = idx[order]
-    return best_idx
+    kept = np.asarray(list(exclude), dtype=np.int64).reshape(1, -1)
+    dy = np.asarray(dy_slot).reshape(-1, 1)
+    return _guided_top_r(R, I, x, dy, kept, chunk)[0]
 
 
 class RandomSampler:
@@ -143,12 +191,9 @@ class GradientGuidedSampler:
     def sample_many(self, R: int, I: int, kept: np.ndarray, slots=None):
         if slots is None:
             raise UsageError("gradient-guided sampling needs slot identities")
-        out = np.empty((kept.shape[0], R), dtype=np.int64)
-        for row, (g, j) in enumerate(slots):
-            out[row] = sample_gradient_guided(
-                R, I, self.x, self.dy[:, g, j], exclude=kept[row]
-            )
-        return out
+        g, j = np.asarray(slots, dtype=np.int64).reshape(-1, 2).T
+        chunk = max(1, BLOCK_BYTES // (8 * (self.dy.shape[0] + g.size)))
+        return _guided_top_r(R, I, self.x, self.dy[:, g, j], kept, chunk)
 
 
 @dataclass

@@ -11,6 +11,9 @@ from boolnet.interconnect import (
     RandomSampler,
     RefreshEvent,
     RefreshLog,
+    _exact_slots,
+    _guided_top_r,
+    connection_scores_chunk,
     refresh_candidates,
     sample_gradient_guided,
     sample_random,
@@ -217,6 +220,17 @@ def test_gradient_guided_respects_exclusions():
     assert out.tolist() == [1, 3, 4]
 
 
+def test_gradient_guided_pool_counts_each_exclusion_once():
+    # Repeated exclusions count once and out-of-range ones not at all, so
+    # the pool is 3 wide here and a fourth draw must be refused.
+    x = np.array([[0, 0, 0, 0, 1]], dtype=np.float64)
+    dy = np.array([1.0])
+    out = sample_gradient_guided(3, 5, x, dy, exclude=[0, 0, 2, 9, -1])
+    assert out.tolist() == [1, 3, 4]
+    with pytest.raises(StructuralError):
+        sample_gradient_guided(4, 5, x, dy, exclude=[0, 2, 2])
+
+
 def test_streaming_equals_full_argsort_oracle():
     """Chunked top-R must match one-shot argsort top-R exactly, ties and
     all, across random instances (including constant score vectors)."""
@@ -271,6 +285,66 @@ def test_gradient_guided_sampler_slot_lookup():
         assert np.array_equal(row, want)
     with pytest.raises(UsageError):
         sampler.sample_many(2, 20, kept)  # slots are required
+
+
+def _per_slot_oracle(R, x, dy_slot, kept_row):
+    I = x.shape[1]
+    order = np.lexsort((np.arange(I), connection_scores_chunk(x, dy_slot)))
+    return order[~np.isin(order, kept_row)][:R]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize("S", [1, 3, 50])
+def test_whole_layer_sampler_matches_per_slot_oracle(S, chunk):
+    """Every slot of one whole-layer call equals its own full argsort,
+    ties and exclusions included, whatever the slice width. float32
+    gradients take the matrix-product path, float64 ones the fixed-order
+    fallback."""
+    rng = np.random.default_rng(100 + S)
+    paths = set()
+    for trial in range(24):
+        B = int(rng.integers(1, 40))
+        C = int(rng.integers(1, 9))
+        I = int(rng.integers(C, 120))
+        R = int(rng.integers(0, C + 1))
+        x = rng.integers(0, 2, size=(B, I)).astype(np.uint8)
+        if trial % 6 == 0:
+            x[:] = trial % 4 // 2  # constant columns: every score ties
+        dy = rng.normal(size=(B, S)) * np.exp(rng.normal(size=(B, S)))
+        if trial % 2:
+            dy = dy.astype(np.float32)
+        if trial % 8 == 1:
+            dy[:] = 0.0
+        kept = np.stack([rng.choice(I, size=C - R, replace=False)
+                         for _ in range(S)])
+        paths.update(_exact_slots(dy.astype(np.float64)).tolist())
+        got = _guided_top_r(R, I, x, dy, kept, chunk)
+        assert got.shape == (S, R)
+        for s in range(S):
+            want = _per_slot_oracle(R, x, dy[:, s], kept[s])
+            assert np.array_equal(got[s], want), (trial, s)
+    assert paths == {True, False}
+
+
+def test_whole_layer_memory_does_not_grow_with_width():
+    """At a fixed slot count the streamed scan's peak allocation stays
+    flat as the fan-in width grows 16x."""
+    B, S, R = 4, 16, 4
+    peaks = []
+    for I in (100_000, 400_000, 1_600_000):
+        rng = np.random.default_rng(I)
+        x = rng.integers(0, 2, size=(B, I)).astype(np.uint8)
+        dy = rng.normal(size=(B, S // 2, 2)).astype(np.float32)
+        kept = rng.integers(0, I, size=(S, 4))
+        slots = [(s // 2, s % 2) for s in range(S)]
+        sampler = GradientGuidedSampler(x, dy)
+        sampler.sample_many(R, I, kept, slots)  # warm allocator paths
+        tracemalloc.start()
+        sampler.sample_many(R, I, kept, slots)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[-1] < peaks[0] * 1.25 + 64 * 1024
 
 
 @settings(max_examples=30, deadline=None)

@@ -294,12 +294,13 @@ def test_train_learns_parity_of_two_bits():
     assert phases == {"interconnect-0", "finetune"}
 
 
-def test_train_is_deterministic():
+@pytest.mark.parametrize("sampling_mode", ["random", "gradient_guided"])
+def test_train_is_deterministic(sampling_mode):
     rng = np.random.default_rng(9)
     splits = _parity_splits(rng, n=128)
     cfg = TrainConfig(
         total_epochs=4, finetune_epochs=0, C=3, R=1, beta=5,
-        batch_size=32, seed=7, tau=4.0,
+        batch_size=32, seed=7, tau=4.0, sampling_mode=sampling_mode,
     )
     runs = []
     for _ in range(2):
