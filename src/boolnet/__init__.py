@@ -55,7 +55,6 @@ from .training import (
     EncodedSplits,
     TrainConfig,
     backward,
-    forward_hard,
     forward_soft,
     train,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "EncodedSplits",
     "TrainConfig",
     "backward",
-    "forward_hard",
     "forward_soft",
     "train",
 ]

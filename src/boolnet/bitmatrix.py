@@ -2,8 +2,13 @@
 
 A BitMatrix stores a (samples x signals) 0/1 matrix packed into 64-bit
 words, sample-major: row s holds all signals of sample s, signal i living
-in bit (i % 64) of word (i // 64). Padding bits past the last signal are
-always zero, so word-level population counts are safe.
+in bit (i % 64) of word (i // 64). Hardened inference works on the
+transpose, signal-major words: row i holds signal i of every sample,
+sample s in bit (s % 64) of word (s // 64), so one word operation
+evaluates a gate on 64 samples. In both layouts padding bits past the
+last signal or sample are zero, so word-level population counts are safe.
+The layouts convert into each other by transposing 64 x 64 bit blocks,
+a transpose that is its own inverse (`_transpose_bits`).
 """
 
 from __future__ import annotations
@@ -19,23 +24,42 @@ def _words_needed(n_bits: int) -> int:
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D uint8 0/1 array along axis 1 into uint64 words."""
-    n, m = bits.shape
-    padded = m + (-m) % WORD_BITS
-    if padded != m:
-        tmp = np.zeros((n, padded), dtype=np.uint8)
-        tmp[:, :m] = bits
-        bits = tmp
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    # packbits preserves the input's memory order; the uint64 view needs a
-    # contiguous last axis.
-    return np.ascontiguousarray(packed).view(np.uint64)
+def _transpose_bits(words: np.ndarray, n_cols: int) -> np.ndarray:
+    """Bit-transpose an (r x w) uint64 word array whose rows hold `64 * w`
+    bit columns: returns (n_cols x ceil(r / 64)) words in which bit k of
+    row c is bit c of input row k.
 
-
-def _unpack_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
-    raw = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return raw[:, :n_bits]
+    Input rows are zero-padded to a multiple of 64, so the result's bits
+    past r are zero; bit columns past `n_cols` are dropped.
+    """
+    r, w = words.shape
+    if n_cols > w * WORD_BITS:
+        raise StructuralError(
+            f"{w} words per row hold {w * WORD_BITS} bits, {n_cols} asked for"
+        )
+    n_blocks = _words_needed(r)
+    # blocks[i, k, j] is word j of row 64k + i (zero past r): one 64 x 64
+    # bit block per (k, j), its row index outermost so that the swaps
+    # below work on long contiguous runs.
+    blocks = np.zeros((WORD_BITS, n_blocks, w), dtype=np.uint64)
+    full, rem = divmod(r, WORD_BITS)
+    rows = blocks.transpose(1, 0, 2)
+    rows[:full] = words[: full * WORD_BITS].reshape(full, WORD_BITS, w)
+    if rem:
+        rows[full, :rem] = words[full * WORD_BITS :]
+    for j in (32, 16, 8, 4, 2, 1):
+        # Swap the j x j sub-blocks off the diagonal of each 2j x 2j block;
+        # the mask keeps the low j bits of every 2j-bit group of a word.
+        low = (1 << j) - 1
+        mask = np.uint64(sum(low << i for i in range(0, WORD_BITS, 2 * j)))
+        pairs = blocks.reshape(WORD_BITS // (2 * j), 2, j, n_blocks * w)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        t = ((lo >> np.uint64(j)) ^ hi) & mask
+        hi ^= t
+        lo ^= t << np.uint64(j)
+    # Now blocks[c, k, j] is word k of bit column 64j + c.
+    out = blocks.transpose(2, 0, 1).reshape(w * WORD_BITS, n_blocks)
+    return np.ascontiguousarray(out[:n_cols])
 
 
 class BitMatrix:
@@ -65,12 +89,19 @@ class BitMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "BitMatrix":
-        """Build from any 2-D array of 0/1 (or boolean) values."""
+        """Build from any 2-D array of 0/1 (or boolean) values; any nonzero
+        value counts as 1."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise StructuralError("expected a 2-D array of bits")
-        bits = (arr != 0).astype(np.uint8)
-        return cls(_pack_rows(bits), arr.shape[1])
+        if arr.dtype.kind not in "biu":
+            arr = arr != 0  # packbits takes only integers and booleans
+        packed = np.packbits(arr, axis=1, bitorder="little")
+        pad = _words_needed(arr.shape[1]) * 8 - packed.shape[1]
+        # Zero bytes up to a whole word. packbits and pad keep the input's
+        # memory order; the uint64 view needs a contiguous last axis.
+        packed = np.ascontiguousarray(np.pad(packed, ((0, 0), (0, pad))))
+        return cls(packed.view(np.uint64), arr.shape[1])
 
     @classmethod
     def zeros(cls, n_samples: int, n_signals: int) -> "BitMatrix":
@@ -79,42 +110,27 @@ class BitMatrix:
 
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
-        return _unpack_rows(self.words, self.n_signals)
-
-    def take_rows(self, index) -> "BitMatrix":
-        return BitMatrix(self.words[np.asarray(index)].copy(), self.n_signals)
+        raw = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
+        return raw[:, : self.n_signals]
 
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
         return BitMatrix(self.words[lo:hi].copy(), self.n_signals)
 
     def to_signal_words(self) -> np.ndarray:
-        """Transpose-pack: (signals x words-over-samples) uint64.
+        """Signal-major words: (signals x words-over-samples) uint64.
 
         Row i holds the bits of signal i across all samples, which is the
-        layout word-parallel circuit evaluation wants.
+        layout word-parallel circuit evaluation wants. Padding bits past
+        the last sample are zero.
         """
-        bits = self.to_array()
-        return _pack_rows(np.ascontiguousarray(bits.T))
+        return _transpose_bits(self.words, self.n_signals)
 
     @classmethod
     def from_signal_words(
         cls, sig_words: np.ndarray, n_samples: int
     ) -> "BitMatrix":
         """Inverse of :meth:`to_signal_words`."""
-        bits = _unpack_rows(sig_words, n_samples)
-        return cls.from_array(bits.T)
-
-    @staticmethod
-    def vstack(parts: list["BitMatrix"]) -> "BitMatrix":
-        if not parts:
-            raise StructuralError("vstack of zero BitMatrix parts")
-        widths = {p.n_signals for p in parts}
-        if len(widths) != 1:
-            raise StructuralError(f"signal widths differ: {sorted(widths)}")
-        return BitMatrix(
-            np.concatenate([p.words for p in parts], axis=0),
-            parts[0].n_signals,
-        )
+        return cls(_transpose_bits(sig_words, n_samples), sig_words.shape[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):

@@ -36,11 +36,11 @@ from .errors import (
 )
 from .model import (
     HardCircuit,
+    accuracy,
     estimate_interconnect_memory,
     format_bytes,
-    group_logits,
     harden,
-    eval_circuit,
+    predict,
     random_network,
 )
 from .pruning import (
@@ -325,13 +325,6 @@ def _encoded_split_for_circuit(
     return bits, labels, dataset.provenance
 
 
-def _circuit_accuracy(circuit: HardCircuit, bits: BitMatrix, labels) -> float:
-    logits = group_logits(
-        eval_circuit(circuit, bits), circuit.num_classes, circuit.tau
-    )
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
 PASS_NAMES = ("trivial", "equivalence", "greedy", "similarity")
 
 
@@ -360,7 +353,7 @@ def cmd_prune(args) -> int:
     rows = []
     for name in passes:
         acc_before = (
-            _circuit_accuracy(circuit, bits, labels) if bits is not None else None
+            accuracy(circuit, bits, labels) if bits is not None else None
         )
         if name == "trivial":
             circuit, report = trivial_prune(circuit)
@@ -378,7 +371,7 @@ def cmd_prune(args) -> int:
             )
         report.accuracy_before = acc_before
         report.accuracy_after = (
-            _circuit_accuracy(circuit, bits, labels) if bits is not None else None
+            accuracy(circuit, bits, labels) if bits is not None else None
         )
         report.split = args.split if bits is not None else None
         rows.extend(report.csv_rows())
@@ -426,10 +419,7 @@ def cmd_eval(args) -> int:
     bits, labels, provenance = _encoded_split_for_circuit(
         args, circuit, thresholds, cfg
     )
-    logits = group_logits(
-        eval_circuit(circuit, bits), circuit.num_classes, circuit.tau
-    )
-    pred = np.argmax(logits, axis=1)
+    pred = predict(circuit, bits)
     acc = float(np.mean(pred == labels))
     k = circuit.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -386,8 +386,13 @@ def _eval_layer_words(
 
 def eval_circuit_layers(
     circuit: HardCircuit, inputs: BitMatrix
-) -> list[BitMatrix]:
-    """Evaluate and return each layer's activations (batch x G_layer)."""
+) -> list[np.ndarray]:
+    """Evaluate every layer on signal-major words.
+
+    Entry i is layer i's (G_i x words-over-samples) uint64 activations,
+    sample s in bit (s % 64) of word (s // 64); padding bits past the last
+    sample are zero, so popcounts over whole words are exact.
+    """
     if inputs.n_signals != circuit.input_width:
         raise StructuralError(
             f"input width {inputs.n_signals} != circuit {circuit.input_width}"
@@ -397,36 +402,45 @@ def eval_circuit_layers(
     outs = []
     for lay in circuit.layers:
         words = _eval_layer_words(lay, words, valid)
-        outs.append(BitMatrix.from_signal_words(words, inputs.n_samples))
+        outs.append(words)
     return outs
 
 
 def eval_circuit(circuit: HardCircuit, inputs: BitMatrix) -> BitMatrix:
     """Final-layer activations for a batch of packed input vectors."""
-    return eval_circuit_layers(circuit, inputs)[-1]
+    final = eval_circuit_layers(circuit, inputs)[-1]
+    return BitMatrix.from_signal_words(final, inputs.n_samples)
 
 
 def group_logits(
-    activations: BitMatrix, num_classes: int, tau: float
+    words: np.ndarray, n_samples: int, num_classes: int, tau: float
 ) -> np.ndarray:
-    """GroupSum head: per-class bit sums over contiguous groups, / tau."""
-    width = activations.n_signals
+    """GroupSum head on the final layer's signal-major words: per sample,
+    the count of set bits in each contiguous group of gates, / tau.
+    Returns (n_samples x num_classes) float64."""
+    width = words.shape[0]
     if width % num_classes != 0:
         raise StructuralError(
             f"activation width {width} not divisible by {num_classes} classes"
         )
-    bits = activations.to_array()
-    sums = bits.reshape(bits.shape[0], num_classes, width // num_classes).sum(
-        axis=2, dtype=np.int64
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    sums = (
+        bits[:, :n_samples]
+        .reshape(num_classes, width // num_classes, n_samples)
+        .sum(axis=1, dtype=np.int64)
     )
-    return sums / float(tau)
+    return sums.T / float(tau)
+
+
+def circuit_logits(circuit: HardCircuit, inputs: BitMatrix) -> np.ndarray:
+    """Class logits of the hardened circuit: (samples x classes) float64,
+    equal to the training forward's logits of the model it came from."""
+    final = eval_circuit_layers(circuit, inputs)[-1]
+    return group_logits(final, inputs.n_samples, circuit.num_classes, circuit.tau)
 
 
 def predict(circuit: HardCircuit, inputs: BitMatrix) -> np.ndarray:
-    logits = group_logits(
-        eval_circuit(circuit, inputs), circuit.num_classes, circuit.tau
-    )
-    return np.argmax(logits, axis=1).astype(np.int64)
+    return np.argmax(circuit_logits(circuit, inputs), axis=1).astype(np.int64)
 
 
 def accuracy(circuit: HardCircuit, inputs: BitMatrix, labels) -> float:

@@ -353,9 +353,10 @@ def logic_equivalence_prune(
 class ActivationProfile:
     """Per-gate activation statistics over a profiling set.
 
-    `words[li]` is the bit-packed (gates x words) activation matrix of
-    layer li, one row per gate across all profiling samples; `ones[li]`
-    the corresponding popcounts.
+    `words[li]` is the signal-major (gates x words) activation matrix of
+    layer li from `eval_circuit_layers`, one row per gate across all
+    profiling samples, padding bits zero; `ones[li]` the corresponding
+    popcounts.
     """
 
     words: list[np.ndarray]
@@ -369,8 +370,7 @@ class ActivationProfile:
 def profile_activations(
     circuit: HardCircuit, data: BitMatrix
 ) -> ActivationProfile:
-    acts = eval_circuit_layers(circuit, data)
-    words = [a.to_signal_words() for a in acts]
+    words = eval_circuit_layers(circuit, data)
     ones = [
         np.bitwise_count(w).sum(axis=1).astype(np.int64) for w in words
     ]

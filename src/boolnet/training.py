@@ -26,7 +26,7 @@ from .interconnect import (
     RandomSampler,
     refresh_candidates,
 )
-from .model import TABLE_BITS, NetworkModel, group_logits, harden
+from .model import TABLE_BITS, NetworkModel, circuit_logits, harden
 
 SAMPLING_MODES = ("random", "gradient_guided", "none")
 INTERCONNECT_MODES = ("fixed", "learnable")
@@ -145,15 +145,6 @@ def _forward_arrays(
     sums = x.reshape(x.shape[0], model.num_classes, gs).sum(axis=2)
     logits = sums / float(model.tau)
     return ForwardCache(xs, sels, slot_in, logits, soft)
-
-
-def forward_hard(
-    model: NetworkModel, inputs: BitMatrix
-) -> tuple[list[BitMatrix], np.ndarray]:
-    """Hardened forward pass; returns per-layer activations and logits."""
-    cache = _forward_arrays(model, inputs.to_array(), soft=False)
-    acts = [BitMatrix.from_array(x) for x in cache.x_layers[1:]]
-    return acts, cache.logits
 
 
 def forward_soft(model: NetworkModel, x0: np.ndarray) -> ForwardCache:
@@ -398,20 +389,16 @@ class MetricRow:
 
 
 def evaluate_arrays(
-    model: NetworkModel, x: np.ndarray, y: np.ndarray, batch: int = 4096
+    model: NetworkModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, float]:
-    """(accuracy, cross-entropy) of the hardened forward pass."""
-    correct = 0
-    losses = []
-    for lo in range(0, len(y), batch):
-        cache = _forward_arrays(model, x[lo : lo + batch])
-        pred = np.argmax(cache.logits, axis=1)
-        correct += int((pred == y[lo : lo + batch]).sum())
-        losses.append(
-            cross_entropy(cache.logits, y[lo : lo + batch])
-            * len(pred)
-        )
-    return correct / len(y), float(np.sum(losses) / len(y))
+    """(accuracy, cross-entropy) of the hardened model on 0/1 inputs.
+
+    Runs the argmax-hardened circuit on packed words (`circuit_logits`),
+    whose logits equal the training forward's exactly.
+    """
+    logits = circuit_logits(harden(model), BitMatrix.from_array(x))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
+    return accuracy, cross_entropy(logits, y)
 
 
 def _set_freezing(model: NetworkModel, phase: Phase) -> None:
@@ -546,10 +533,3 @@ def train(
         layer.frozen_gates = False
         layer.frozen_interconnect = False
     return model, metrics
-
-
-def hardened_accuracy(model: NetworkModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Accuracy of the argmax-hardened circuit (bit-parallel path)."""
-    from .model import accuracy as circuit_accuracy
-
-    return circuit_accuracy(harden(model), BitMatrix.from_array(x), np.asarray(y))

@@ -179,7 +179,8 @@ def test_circuit_eval_matches_naive_interpreter(seed, batch):
     x = rng.integers(0, 2, size=(batch, 7)).astype(np.uint8)
     got = eval_circuit_layers(circuit, BitMatrix.from_array(x))
     want = _naive_eval(circuit, x)
-    for bm, ref in zip(got, want):
+    for words, ref in zip(got, want):
+        bm = BitMatrix.from_signal_words(words, batch)
         assert np.array_equal(bm.to_array(), ref)
 
 
@@ -208,7 +209,7 @@ def test_eval_wrong_width_raises():
 def test_group_logits_hand_example():
     # Two classes, three gates each: sums (3, 5) over tau=30.
     acts = BitMatrix.from_array([[1, 1, 1, 1, 1, 1, 1, 1, 0, 0]])
-    logits = group_logits(acts, 2, tau=30.0)
+    logits = group_logits(acts.to_signal_words(), 1, 2, tau=30.0)
     assert logits.shape == (1, 2)
     assert logits[0, 0] == pytest.approx(5 / 30)
     assert logits[0, 1] == pytest.approx(3 / 30)
@@ -216,7 +217,7 @@ def test_group_logits_hand_example():
 
 def test_group_logits_rejects_ragged_width():
     with pytest.raises(StructuralError):
-        group_logits(BitMatrix.zeros(1, 10), 3, tau=1.0)
+        group_logits(BitMatrix.zeros(1, 10).to_signal_words(), 1, 3, tau=1.0)
 
 
 def test_predict_and_accuracy():

@@ -287,8 +287,8 @@ def test_profile_matches_dense_counts():
     from boolnet.model import eval_circuit_layers
 
     acts = eval_circuit_layers(circuit, data)
-    for li, bm in enumerate(acts):
-        dense = bm.to_array()
+    for li, words in enumerate(acts):
+        dense = BitMatrix.from_signal_words(words, 100).to_array()
         assert np.array_equal(profile.ones[li], dense.sum(axis=0))
         for g in range(dense.shape[1]):
             assert profile.frequency(li, g) == dense[:, g].mean()

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from boolnet.bitmatrix import BitMatrix
+from boolnet.data import synth_boolean_task
 from boolnet.errors import ConfigError, StructuralError
-from boolnet.model import harden, random_network
+from boolnet.model import (
+    accuracy,
+    circuit_logits,
+    eval_circuit_layers,
+    harden,
+    random_network,
+)
+from boolnet.serialize import dump_netlist, parse_netlist
 from boolnet.training import (
     Adam,
     EncodedSplits,
@@ -16,7 +24,6 @@ from boolnet.training import (
     cosine_lr,
     cross_entropy,
     evaluate_arrays,
-    forward_hard,
     forward_soft,
     train,
 )
@@ -40,19 +47,42 @@ def _rand_model(rng, widths=(10, 6), inputs=8, C=4, classes=2, tau=5.0):
 
 
 def test_forward_hard_matches_hardened_circuit():
+    """The training forward (the reference) and the packed circuit agree
+    bit for bit on every layer and exactly on the logits."""
     rng = np.random.default_rng(0)
     model = _rand_model(rng)
-    x = rng.integers(0, 2, size=(40, 8)).astype(np.uint8)
+    x = rng.integers(0, 2, size=(150, 8)).astype(np.uint8)
     cache = _forward_arrays(model, x)
-    from boolnet.model import eval_circuit_layers
+    bits = BitMatrix.from_array(x)
+    circuit = harden(model)
 
-    ref = eval_circuit_layers(harden(model), BitMatrix.from_array(x))
-    for got, want in zip(cache.x_layers[1:], ref):
-        assert np.array_equal(got, want.to_array())
+    ref = eval_circuit_layers(circuit, bits)
+    assert len(ref) == len(cache.x_layers) - 1
+    for got, words in zip(cache.x_layers[1:], ref):
+        packed = BitMatrix.from_signal_words(words, len(x)).to_array()
+        assert np.array_equal(got, packed)
+    assert np.array_equal(circuit_logits(circuit, bits), cache.logits)
 
-    acts, logits = forward_hard(model, BitMatrix.from_array(x))
-    assert acts[-1] == ref[-1]
-    assert np.allclose(logits, cache.logits)
+
+def test_trained_netlist_accuracy_equals_training_forward():
+    """Synthetic twin of acceptance test 11: after training, the saved and
+    reloaded netlist scores exactly what the training forward scores."""
+    ds = synth_boolean_task("random-circuit-teacher", 12, 600, seed=5)
+    train_x, train_y = ds.split_arrays("train")
+    test_x, test_y = ds.split_arrays("test")
+    model = random_network(
+        12, [24, 12], ds.num_classes, candidates_per_slot=4, seed=2, tau=2.0
+    )
+    cfg = TrainConfig(
+        total_epochs=4, finetune_epochs=1, C=4, R=2, beta=5, tau=2.0,
+        batch_size=32, lr_init=0.05, seed=2,
+    )
+    model, _ = train(model, EncodedSplits(train_x, train_y), cfg)
+
+    forward = _forward_arrays(model, test_x).logits
+    forward_acc = float(np.mean(np.argmax(forward, axis=1) == test_y))
+    circuit = parse_netlist(dump_netlist(harden(model)))
+    assert accuracy(circuit, BitMatrix.from_array(test_x), test_y) == forward_acc
 
 
 def test_soft_forward_agrees_on_saturated_logits():
@@ -385,15 +415,15 @@ def test_zero_epochs_is_a_noop():
         assert np.array_equal(layer.gate_logits, s)
 
 
-def test_evaluate_arrays_batching_invariance():
+def test_evaluate_arrays_matches_training_forward():
     rng = np.random.default_rng(14)
     model = _rand_model(rng)
-    x = rng.integers(0, 2, size=(50, 8)).astype(np.uint8)
-    y = rng.integers(0, 2, size=50)
-    a1 = evaluate_arrays(model, x, y, batch=7)
-    a2 = evaluate_arrays(model, x, y, batch=50)
-    assert a1[0] == a2[0]
-    assert a1[1] == pytest.approx(a2[1])
+    x = rng.integers(0, 2, size=(150, 8)).astype(np.uint8)
+    y = rng.integers(0, 2, size=150)
+    logits = _forward_arrays(model, x).logits
+    acc, loss = evaluate_arrays(model, x, y)
+    assert acc == float(np.mean(np.argmax(logits, axis=1) == y))
+    assert loss == pytest.approx(cross_entropy(logits, y), rel=0, abs=1e-12)
 
 
 def test_adam_matches_reference_implementation():
