@@ -10,7 +10,11 @@ would just duplicate a parameter.
 
 Gradient-guided sampling scores a whole layer per slice of input columns
 with one matrix product and keeps a running best-R set per slot, so extra
-memory is O((batch + S) * chunk) whatever the fan-in width I.
+memory is O((batch + S) * chunk) whatever the fan-in width I. A slice is
+merged into the best sets only for the slots with some score strictly
+below their current R-th best. A score equal to it comes from a higher
+index and loses the tie, so every other slot keeps its set unchanged.
+Later slices improve fewer slots, and the merge shrinks with them.
 """
 
 from __future__ import annotations
@@ -96,27 +100,39 @@ def _guided_top_r(
 
     ex_row, ex_idx = np.nonzero(k >= 0)[0], k[k >= 0]
     loose = np.flatnonzero(~_exact_slots(dy))
-    best_vals, best_idx = np.empty((S, 0)), np.empty((S, 0), dtype=np.int64)
+    # Placeholders (+inf at index I) fill the best set until real columns
+    # displace them; at least R columns per slot score below +inf.
+    best_vals = np.full((S, R), np.inf)
+    best_idx = np.full((S, R), I, dtype=np.int64)
     for lo in range(0, I, chunk):
         hi = min(lo + chunk, I)
         xc = x[:, lo:hi].astype(np.float64)
         block = 2.0 * (dy.T @ xc) - dy.sum(axis=0)[:, None]
-        block[loose] = connection_scores_chunk(xc, dy[:, loose])
+        if loose.size:
+            block[loose] = connection_scores_chunk(xc, dy[:, loose])
         hit = (ex_idx >= lo) & (ex_idx < hi)
         block[ex_row[hit], ex_idx[hit] - lo] = np.inf
-        # The best set is kept in index order, so column order is index
-        # order and ties at the R-th score go to the leftmost entries.
-        vals = np.concatenate([best_vals, block], axis=1)
-        idx = np.concatenate(
-            [best_idx, np.broadcast_to(np.arange(lo, hi), block.shape)], axis=1
+        # Only slots with a score strictly below their R-th best can
+        # change: an equal score has a higher index and loses the tie.
+        rows = np.flatnonzero(
+            (block < best_vals.max(axis=1, keepdims=True)).any(axis=1)
         )
-        if vals.shape[1] > R:
-            t = np.partition(vals, R - 1, axis=1)[:, R - 1 : R].copy()
-            less, tie = vals < t, vals == t
-            need = R - less.sum(axis=1, keepdims=True)
-            take = less | (tie & (np.cumsum(tie, axis=1) <= need))
-            vals, idx = vals[take].reshape(S, R), idx[take].reshape(S, R)
-        best_vals, best_idx = vals, idx
+        if rows.size == 0:
+            continue
+        # Real entries of the best set stay in index order, left of the
+        # slice, so ties at the R-th score go to the lowest index.
+        block = block[rows]
+        vals = np.concatenate([best_vals[rows], block], axis=1)
+        idx = np.concatenate(
+            [best_idx[rows], np.broadcast_to(np.arange(lo, hi), block.shape)],
+            axis=1,
+        )
+        t = np.partition(vals, R - 1, axis=1)[:, R - 1 : R].copy()
+        less, tie = vals < t, vals == t
+        need = R - less.sum(axis=1, keepdims=True)
+        take = less | (tie & (np.cumsum(tie, axis=1) <= need))
+        best_vals[rows] = vals[take].reshape(-1, R)
+        best_idx[rows] = idx[take].reshape(-1, R)
     order = np.lexsort((best_idx, best_vals), axis=1)
     return np.take_along_axis(best_idx, order, axis=1)
 
@@ -279,7 +295,7 @@ def refresh_candidates(
         w_floor = np.zeros(G * 2, dtype=weights.dtype)
     kept_idx = cand[rows, kept_pos]
 
-    slots = [(s // 2, s % 2) for s in range(G * 2)]
+    slots = np.stack(np.divmod(np.arange(G * 2), 2), axis=1)  # (2G, 2) ids
     old_idx = cand[rows, repl_pos].copy()
     new_idx = sampler.sample_many(R, fan_in_width, kept_idx, slots)
 

@@ -79,7 +79,11 @@ class TrainConfig:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
+    # The max runs over a contiguous copy with `axis` first, where it is an
+    # elementwise max of whole rows instead of many short reductions. Max
+    # does not depend on order, so the result is the same bit for bit.
+    zmax = np.ascontiguousarray(np.moveaxis(z, axis, 0)).max(axis=0)
+    z = z - np.expand_dims(zmax, axis)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
 
@@ -161,14 +165,24 @@ def connection_gradient(
     d_conn[g,j,c] = sum_b (2 * x_prev[b, candidates[g,j,c]] - 1) * dslot[b,g,j]
 
     Computed as 2 * sum_b(x * dy) - sum_b(dy), which skips materializing
-    the (B, G, 2, C) sign tensor.
+    the (B, G, 2, C) sign tensor. x_prev is transposed once to (I, B) in
+    its own dtype (uint8 in training), so the candidate gather copies
+    whole contiguous batch rows into a (G, 2, C, B) array, and the sum
+    over b runs along the last axis.
+
+    Accumulation is in float64. In training x is 0/1, so each product is
+    0 or a float32 value of dy, exactly. A float64 sum of B float32
+    values cannot round while their binary exponents span fewer than
+    about 29 - log2(B) places (the argument of interconnect._exact_slots),
+    so the result does not depend on summation order.
     """
     dtype = np.float64 if dslot.dtype == np.float64 else np.float32
-    x_prev = x_prev.astype(dtype, copy=False)
     dslot = dslot.astype(dtype, copy=False)
-    xc = x_prev[:, candidates]  # (B, G, 2, C)
-    # float64 accumulation costs nothing here and keeps the result exact.
-    xdy = np.einsum("bgjc,bgj->gjc", xc, dslot, dtype=np.float64)
+    x_t = np.ascontiguousarray(np.asarray(x_prev).T)  # (I, B)
+    xc = np.take(x_t, candidates, axis=0)  # (G, 2, C, B)
+    xdy = np.einsum(
+        "gjcb,gjb->gjc", xc, dslot.transpose(1, 2, 0), dtype=np.float64
+    )
     out = 2.0 * xdy - dslot.sum(axis=0, dtype=np.float64)[:, :, None]
     return out.astype(dtype, copy=False)
 
@@ -294,6 +308,7 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
+        self._buf = np.empty(0, dtype=np.float32)
 
     def step(
         self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -309,14 +324,25 @@ class Adam:
             t = self.t[key]
             m = self.m[key]
             v = self.v[key]
-            g = g.astype(np.float32)
+            g = g.astype(np.float32, copy=False)
+            if self._buf.size < p.size:
+                self._buf = np.empty(p.size, dtype=np.float32)
+            buf = self._buf[: p.size].reshape(p.shape)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=buf)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1**t)
-            vhat = v / (1 - self.beta2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(g, 1 - self.beta2, out=buf)
+            v += np.multiply(buf, g, out=buf)
+            # The step takes lr's precision: cosine_lr returns a numpy
+            # float64, so lr * mhat and the division are float64 and only
+            # the update of p rounds to float32. Computing it in float32
+            # would change trained parameters in the last bit.
+            step = np.multiply(np.divide(m, 1 - self.beta1**t, out=buf), lr)
+            np.divide(v, 1 - self.beta2**t, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            step /= buf
+            p -= step
 
 
 def cosine_lr(

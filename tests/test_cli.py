@@ -1,12 +1,16 @@
 """End-to-end exercises of the command-line surface.
 
 Everything runs in-process through main(argv) so exit codes and stdout
-can be asserted directly; no subprocesses.
+can be asserted directly. Only the fresh-process rerun test starts
+subprocesses.
 """
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +142,38 @@ def test_train_rerun_is_deterministic(synth_run, tmp_path, capsys):
         metrics.append([r[:4] + r[5:] for r in rows])
     assert dumps[0] == dumps[1]
     assert metrics[0] == metrics[1]
+
+
+def test_train_rerun_in_fresh_processes_is_bit_identical(synth_run, tmp_path):
+    """Two `boolnet train` processes with one BLAS thread each write
+    checkpoints whose arrays are equal byte for byte."""
+    import boolnet
+
+    ini, _ = synth_run
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boolnet.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    arrays = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        subprocess.run(
+            [
+                sys.executable, "-m", "boolnet.cli", "train",
+                "--config", str(ini), "--out", str(out), "--quiet",
+            ],
+            env=env, check=True, timeout=300,
+        )
+        with np.load(out / "checkpoint.npz") as data:
+            arrays.append({k: data[k] for k in data.files})
+    assert arrays[0].keys() == arrays[1].keys()
+    for k, a in arrays[0].items():
+        b = arrays[1][k]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), k
+        assert a.tobytes() == b.tobytes(), k
 
 
 def test_quiet_flag_suppresses_progress(synth_run, tmp_path, capsys):

@@ -326,6 +326,62 @@ def test_whole_layer_sampler_matches_per_slot_oracle(S, chunk):
     assert paths == {True, False}
 
 
+@pytest.mark.parametrize("chunk", ["1", "7", "R"])
+def test_whole_layer_sampler_ties_across_slices(chunk):
+    """Integer gradients over duplicated columns make many later scores
+    equal a slot's R-th best. The earlier index keeps its place whatever
+    the slice width, so results equal the per-slot oracle."""
+    rng = np.random.default_rng(200)
+    crossed = 0
+    for trial in range(30):
+        B = int(rng.integers(1, 30))
+        S = int(rng.integers(1, 12))
+        R = int(rng.integers(1, 6))
+        I = int(rng.integers(R + 4, 90))
+        width = R if chunk == "R" else int(chunk)
+        base = rng.integers(0, 2, size=(B, 6)).astype(np.uint8)
+        x = base[:, rng.integers(0, 6, size=I)]  # 6 distinct columns
+        dy = rng.integers(-3, 4, size=(B, S)).astype(
+            np.float32 if trial % 2 else np.float64
+        )
+        kept = np.stack([rng.choice(I, size=4, replace=False)
+                         for _ in range(S)])
+        got = _guided_top_r(R, I, x, dy, kept, width)
+        for s in range(S):
+            want = _per_slot_oracle(R, x, dy[:, s], kept[s])
+            assert np.array_equal(got[s], want), (trial, s)
+            # Count slots where an unchosen later slice ties the R-th best.
+            scores = connection_scores_chunk(x, dy[:, s])
+            ties = np.flatnonzero(scores == scores[want[-1]])
+            ties = ties[~np.isin(ties, kept[s]) & ~np.isin(ties, want)]
+            crossed += bool((ties // width > want[-1] // width).any())
+    assert crossed > 100
+
+
+def test_slice_that_improves_no_slot_is_not_merged(monkeypatch):
+    """With positive gradients an all-zero column has every slot's lowest
+    score. The first slice already holds R of them; the second only ties
+    or scores worse, so no slot changes and only the first slice runs the
+    partition merge."""
+    rng = np.random.default_rng(201)
+    B, S, R, chunk = 6, 5, 3, 8
+    x = rng.integers(0, 2, size=(B, 2 * chunk)).astype(np.uint8)
+    x[:, [1, 4, 6, 9, 12]] = 0
+    dy = rng.integers(1, 4, size=(B, S)).astype(np.float32)
+    kept = np.empty((S, 0), dtype=np.int64)
+    calls = []
+    partition = np.partition
+
+    def counting_partition(*args, **kwargs):
+        calls.append(1)
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", counting_partition)
+    got = _guided_top_r(R, 2 * chunk, x, dy, kept, chunk)
+    assert got.tolist() == [[1, 4, 6]] * S
+    assert len(calls) == 1
+
+
 def test_whole_layer_memory_does_not_grow_with_width():
     """At a fixed slot count the streamed scan's peak allocation stays
     flat as the fan-in width grows 16x."""

@@ -25,6 +25,7 @@ from boolnet.training import (
     cross_entropy,
     evaluate_arrays,
     forward_soft,
+    softmax,
     train,
 )
 
@@ -140,6 +141,35 @@ def test_connection_gradient_triple_loop_oracle():
                             2 * int(x[b, cand[g, j, c]]) - 1
                         ) * float(dy[b, g, j])
         assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def _gather_einsum_oracle(x_prev, candidates, dslot):
+    """The scattered-gather form of connection_gradient: index the
+    (B, I) batch directly, widen to the gradient's dtype and sum over the
+    leading batch axis."""
+    dtype = np.float64 if dslot.dtype == np.float64 else np.float32
+    xc = x_prev.astype(dtype)[:, candidates]  # (B, G, 2, C)
+    xdy = np.einsum("bgjc,bgj->gjc", xc, dslot, dtype=np.float64)
+    out = 2.0 * xdy - dslot.sum(axis=0, dtype=np.float64)[:, :, None]
+    return out.astype(dtype)
+
+
+@pytest.mark.parametrize("B", [1, 7, 20, 100, 128])
+@pytest.mark.parametrize(
+    "x_dtype, dy_dtype", [(np.uint8, np.float32), (np.float64, np.float64)]
+)
+def test_connection_gradient_bit_equals_gather_oracle(B, x_dtype, dy_dtype):
+    """Bit for bit, at batch sizes where summation order would show, and
+    with gradients spanning many binary exponents."""
+    rng = np.random.default_rng(B)
+    G, C, I = 300, 8, 1000
+    x = rng.integers(0, 2, size=(B, I)).astype(x_dtype)
+    cand = rng.integers(0, I, size=(G, 2, C)).astype(np.int32)
+    dy = rng.normal(size=(B, G, 2)) * np.exp2(rng.integers(-12, 12, (B, G, 2)))
+    dy = dy.astype(dy_dtype)
+    got = connection_gradient(x, cand, dy)
+    assert got.dtype == dy_dtype
+    assert np.array_equal(got, _gather_einsum_oracle(x, cand, dy))
 
 
 # ------------------------------------------------------------- backward
@@ -442,6 +472,78 @@ def test_adam_matches_reference_implementation():
         vhat = v / (1 - 0.999**t)
         ref = ref - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
         assert np.allclose(p["w"], ref, atol=1e-6)
+
+
+class _ReferenceAdam(Adam):
+    """Adam.step written as whole-array expressions with temporaries."""
+
+    def step(self, params, grads, lr):
+        for key, g in grads.items():
+            p = params[key]
+            if key not in self.m:
+                self.m[key] = np.zeros_like(p, dtype=np.float32)
+                self.v[key] = np.zeros_like(p, dtype=np.float32)
+                self.t[key] = 0
+            self.t[key] += 1
+            t = self.t[key]
+            m, v = self.m[key], self.v[key]
+            g = g.astype(np.float32)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            mhat = m / (1 - self.beta1**t)
+            vhat = v / (1 - self.beta2**t)
+            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("lr_kind", ["numpy", "python"])
+def test_adam_bit_equals_reference_expression(lr_kind):
+    """50 steps on gate- and connection-shaped parameters: params, m and v
+    equal the reference bit for bit, with lr as cosine_lr's numpy float64
+    (a float64 step) and as a Python float (a float32 step)."""
+    rng = np.random.default_rng(21)
+    G, C, steps = 300, 8, 50
+    init = {
+        "gates": rng.normal(size=(G, 16)).astype(np.float32),
+        "conn": rng.normal(size=(G, 2, C)).astype(np.float32),
+    }
+    got = {k: v.copy() for k, v in init.items()}
+    want = {k: v.copy() for k, v in init.items()}
+    opt, ref = Adam(), _ReferenceAdam()
+    for step in range(steps):
+        scale = np.exp2(rng.integers(-20, 4))
+        grads = {
+            k: (rng.normal(size=v.shape) * scale).astype(np.float32)
+            for k, v in init.items()
+        }
+        lr = cosine_lr(step, steps, 1e-2, 1e-5)
+        if lr_kind == "python":
+            lr = float(lr)
+        opt.step(got, grads, lr)
+        ref.step(want, grads, lr)
+    for k in init:
+        assert np.array_equal(got[k], want[k])
+        assert np.array_equal(opt.m[k], ref.m[k])
+        assert np.array_equal(opt.v[k], ref.v[k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_bit_equals_formula(dtype):
+    """Rows with ties at the max and rows with large logits included."""
+    rng = np.random.default_rng(22)
+    z = rng.normal(size=(500, 16)) * 30
+    z[::3, 5] = z[::3].max(axis=1)  # two entries tie at the max
+    z[::7] = z[::7, :1]  # every entry ties
+    z[::5] += 1e30
+    z = z.astype(dtype)
+    for axis in (1, -1, 0):
+        shifted = z - z.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=axis, keepdims=True)
+        got = softmax(z, axis=axis)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 def test_soft_forward_entry_point():
