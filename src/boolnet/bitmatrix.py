@@ -1,14 +1,13 @@
 """Bit-packed binary matrices.
 
-A BitMatrix stores a (samples x signals) 0/1 matrix packed into 64-bit
-words, sample-major: row s holds all signals of sample s, signal i living
-in bit (i % 64) of word (i // 64). Hardened inference works on the
-transpose, signal-major words: row i holds signal i of every sample,
-sample s in bit (s % 64) of word (s // 64), so one word operation
-evaluates a gate on 64 samples. In both layouts padding bits past the
-last signal or sample are zero, so word-level population counts are safe.
-The layouts convert into each other by transposing 64 x 64 bit blocks,
-a transpose that is its own inverse (`_transpose_bits`).
+A BitMatrix stores a (samples x signals) 0/1 matrix in 64-bit words,
+signal-major: row i holds signal i of every sample, sample s in bit
+(s % 64) of word (s // 64), so one word operation evaluates a gate on 64
+samples. Padding bits past the last sample are zero, so word popcounts
+are exact. Sample-major words (row s holds sample s) exist only inside
+`from_array`, `to_array` and `row_range`, at the boundary with training's
+uint8 arrays: the layouts convert by transposing 64 x 64 bit blocks, a
+transpose that is its own inverse (`_transpose_bits`).
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ def _transpose_bits(words: np.ndarray, n_cols: int) -> np.ndarray:
     past r are zero; bit columns past `n_cols` are dropped.
     """
     r, w = words.shape
-    if n_cols > w * WORD_BITS:
-        raise StructuralError(
-            f"{w} words per row hold {w * WORD_BITS} bits, {n_cols} asked for"
-        )
     n_blocks = _words_needed(r)
     # blocks[i, k, j] is word j of row 64k + i (zero past r): one 64 x 64
     # bit block per (k, j), its row index outermost so that the swaps
@@ -63,24 +58,24 @@ def _transpose_bits(words: np.ndarray, n_cols: int) -> np.ndarray:
 
 
 class BitMatrix:
-    """Immutable bit-packed (samples x signals) binary matrix."""
+    """Immutable (samples x signals) binary matrix, stored signal-major."""
 
-    __slots__ = ("words", "n_signals")
+    __slots__ = ("words", "n_samples")
 
-    def __init__(self, words: np.ndarray, n_signals: int):
+    def __init__(self, words: np.ndarray, n_samples: int):
         if words.ndim != 2 or words.dtype != np.uint64:
             raise StructuralError("BitMatrix needs a 2-D uint64 word array")
-        if words.shape[1] != _words_needed(n_signals):
+        if words.shape[1] != _words_needed(n_samples):
             raise StructuralError(
                 f"word array has {words.shape[1]} columns, "
-                f"{_words_needed(n_signals)} needed for {n_signals} signals"
+                f"{_words_needed(n_samples)} needed for {n_samples} samples"
             )
         self.words = words
-        self.n_signals = n_signals
+        self.n_samples = n_samples
         self.words.flags.writeable = False
 
     @property
-    def n_samples(self) -> int:
+    def n_signals(self) -> int:
         return self.words.shape[0]
 
     @property
@@ -89,8 +84,8 @@ class BitMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "BitMatrix":
-        """Build from any 2-D array of 0/1 (or boolean) values; any nonzero
-        value counts as 1."""
+        """Build from any 2-D (samples x signals) array of 0/1 (or boolean)
+        values; any nonzero value counts as 1."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise StructuralError("expected a 2-D array of bits")
@@ -101,46 +96,43 @@ class BitMatrix:
         # Zero bytes up to a whole word. packbits and pad keep the input's
         # memory order; the uint64 view needs a contiguous last axis.
         packed = np.ascontiguousarray(np.pad(packed, ((0, 0), (0, pad))))
-        return cls(packed.view(np.uint64), arr.shape[1])
+        n, m = arr.shape
+        return cls(_transpose_bits(packed.view(np.uint64), m), n)
 
     @classmethod
     def zeros(cls, n_samples: int, n_signals: int) -> "BitMatrix":
-        words = np.zeros((n_samples, _words_needed(n_signals)), dtype=np.uint64)
-        return cls(words, n_signals)
+        words = np.zeros((n_signals, _words_needed(n_samples)), dtype=np.uint64)
+        return cls(words, n_samples)
 
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
-        raw = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return raw[:, : self.n_signals]
+        rows = _transpose_bits(self.words, self.n_samples).view(np.uint8)
+        return np.unpackbits(rows, axis=1, bitorder="little")[:, : self.n_signals]
 
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
-        return BitMatrix(self.words[lo:hi].copy(), self.n_signals)
+        rows = _transpose_bits(self.words, self.n_samples)[lo:hi]
+        return BitMatrix(_transpose_bits(rows, self.n_signals), rows.shape[0])
 
     def to_signal_words(self) -> np.ndarray:
-        """Signal-major words: (signals x words-over-samples) uint64.
-
-        Row i holds the bits of signal i across all samples, which is the
-        layout word-parallel circuit evaluation wants. Padding bits past
-        the last sample are zero.
-        """
-        return _transpose_bits(self.words, self.n_signals)
+        """The stored (signals x words-over-samples) uint64 words."""
+        return self.words
 
     @classmethod
     def from_signal_words(
         cls, sig_words: np.ndarray, n_samples: int
     ) -> "BitMatrix":
-        """Inverse of :meth:`to_signal_words`."""
-        return cls(_transpose_bits(sig_words, n_samples), sig_words.shape[0])
+        """Wrap signal-major words whose bits past `n_samples` are zero."""
+        return cls(sig_words, n_samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return self.n_signals == other.n_signals and np.array_equal(
+        return self.n_samples == other.n_samples and np.array_equal(
             self.words, other.words
         )
 
     def __hash__(self):
-        return hash((self.n_signals, self.words.tobytes()))
+        return hash((self.n_samples, self.words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.n_samples}x{self.n_signals})"

@@ -4,6 +4,8 @@ Each real feature becomes T bits, one per quantile threshold; bit i is 1
 iff the value exceeds threshold i. Quantile levels are i/(T+1) for
 i = 1..T with linear interpolation between order statistics, so the T+1
 gaps carry equal probability mass under the training distribution.
+`encode` packs the bits straight into signal-major words, one threshold
+at a time, without a (samples x features x T) tensor.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import WORD_BITS, BitMatrix
 from .errors import StructuralError
 
 
@@ -55,12 +57,22 @@ def fit_thresholds(train_data, T: int) -> ThermometerEncoder:
 
 def encode(encoder: ThermometerEncoder, data) -> BitMatrix:
     """Binarize: bit (f, i) = value_f > threshold_{f,i}; per feature the
-    bits form a prefix of ones. Output columns are feature-major."""
-    data = np.asarray(data, dtype=np.float64)
+    bits form a prefix of ones. Signal f*T + i is bit i of feature f."""
+    data = np.asarray(data)
     if data.ndim != 2 or data.shape[1] != encoder.num_features:
         raise StructuralError(
             f"data has {data.shape[-1] if data.ndim == 2 else '?'} features, "
             f"encoder expects {encoder.num_features}"
         )
-    bits = data[:, :, None] > encoder.thresholds[None, :, :]
-    return BitMatrix.from_array(bits.reshape(data.shape[0], -1))
+    if data.dtype.kind not in "biuf":
+        data = data.astype(np.float64)  # numeric strings parse; others raise
+    n, T = data.shape[0], encoder.bits_per_feature
+    cols = np.ascontiguousarray(data.T)
+    # The words as bytes, signal f*T + i in row f*T + i; padding stays 0.
+    out = np.zeros((cols.shape[0] * T, -(-n // WORD_BITS) * 8), np.uint8)
+    bits = np.empty(cols.shape, dtype=bool)  # one plane, reused
+    for i in range(T):
+        # Mixed dtypes compare in float64, as if data were cast first.
+        np.greater(cols, encoder.thresholds[:, i : i + 1], out=bits)
+        out[i::T, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return BitMatrix(out.view(np.uint64), n)

@@ -387,12 +387,8 @@ def _eval_layer_words(
 def eval_circuit_layers(
     circuit: HardCircuit, inputs: BitMatrix
 ) -> list[np.ndarray]:
-    """Evaluate every layer on signal-major words.
-
-    Entry i is layer i's (G_i x words-over-samples) uint64 activations,
-    sample s in bit (s % 64) of word (s // 64); padding bits past the last
-    sample are zero, so popcounts over whole words are exact.
-    """
+    """Evaluate every layer. Entry i is layer i's activations as
+    signal-major words (see `BitMatrix`), padding bits zero."""
     if inputs.n_signals != circuit.input_width:
         raise StructuralError(
             f"input width {inputs.n_signals} != circuit {circuit.input_width}"
@@ -423,11 +419,11 @@ def group_logits(
         raise StructuralError(
             f"activation width {width} not divisible by {num_classes} classes"
         )
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    sums = (
-        bits[:, :n_samples]
-        .reshape(num_classes, width // num_classes, n_samples)
-        .sum(axis=1, dtype=np.int64)
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=1, count=n_samples, bitorder="little"
+    )
+    sums = bits.reshape(num_classes, width // num_classes, n_samples).sum(
+        axis=1, dtype=np.int32
     )
     return sums.T / float(tau)
 

@@ -15,20 +15,26 @@ def test_round_trip_simple():
 
 
 def test_padding_bits_are_zero():
-    arr = np.ones((3, 5), dtype=np.uint8)
+    arr = np.ones((5, 3), dtype=np.uint8)
     bm = BitMatrix.from_array(arr)
-    # 5 signals fit in one word; bits 5..63 must be clear so popcounts
-    # over whole words count only real signals.
+    # Signal-major: 5 samples fit in one word per signal; bits 5..63 must
+    # be clear so popcounts over whole words count only real samples.
     assert bm.words.shape == (3, 1)
     assert (bm.words == np.uint64(0b11111)).all()
 
 
 def test_exact_word_boundary():
     rng = np.random.default_rng(0)
-    arr = rng.integers(0, 2, size=(4, WORD_BITS * 2))
-    bm = BitMatrix.from_array(arr)
-    assert bm.words.shape == (4, 2)
-    assert np.array_equal(bm.to_array(), arr.astype(np.uint8))
+    for n in (WORD_BITS, 2 * WORD_BITS):
+        arr = rng.integers(0, 2, size=(n, 4))
+        bm = BitMatrix.from_array(arr)
+        assert bm.words.shape == (4, n // WORD_BITS)  # no padding word
+        assert np.array_equal(bm.to_array(), arr.astype(np.uint8))
+        # One sample more spills into a word whose bits past it are zero.
+        ones = BitMatrix.from_array(np.ones((n + 1, 4), dtype=np.uint8))
+        assert ones.words.shape == (4, n // WORD_BITS + 1)
+        assert (ones.words[:, :-1] == ~np.uint64(0)).all()
+        assert (ones.words[:, -1] == np.uint64(1)).all()
 
 
 def test_from_array_any_dtype_and_memory_order():
@@ -49,6 +55,19 @@ def test_zeros_and_row_range():
     bm = BitMatrix.from_array(arr)
     rr = bm.row_range(2, 5)
     assert np.array_equal(rr.to_array(), arr[2:5])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 64), (0, 65), (3, 64), (3, 128), (5, 130), (63, 129), (64, 128),
+     (70, 200), (100, 101), (7, 7)],
+)
+def test_row_range_off_word_boundaries(lo, hi):
+    arr = np.random.default_rng(lo * 1000 + hi).integers(0, 2, size=(130, 9))
+    bm = BitMatrix.from_array(arr)
+    rr = bm.row_range(lo, hi)
+    assert rr == BitMatrix.from_array(arr[lo:hi])  # also clips hi past 130
+    assert np.array_equal(rr.to_array(), arr[lo:hi].astype(np.uint8))
 
 
 def test_signal_words_round_trip():

@@ -215,6 +215,33 @@ def test_group_logits_hand_example():
     assert logits[0, 1] == pytest.approx(3 / 30)
 
 
+def _group_logits_oracle(words, n_samples, num_classes, tau):
+    """GroupSum by unpacking every word and summing the bytes in int64."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    sums = (
+        bits[:, :n_samples]
+        .reshape(num_classes, -1, n_samples)
+        .sum(axis=1, dtype=np.int64)
+    )
+    return sums.T / float(tau)
+
+
+@pytest.mark.parametrize("group", [1, 100, 1200])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+def test_group_logits_equal_int64_oracle(n, group):
+    rng = np.random.default_rng(n + group)
+    classes = 10
+    bits = rng.integers(0, 2, size=(n, classes * group), dtype=np.uint8)
+    bits[-1] = 1  # every group sum of the last sample is the group size
+    words = BitMatrix.from_array(bits).to_signal_words()
+    for tau in (1.0, 30.0, 0.3):
+        got = group_logits(words, n, classes, tau)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _group_logits_oracle(words, n, classes, tau))
+    full = group_logits(words, n, classes, 1.0)
+    assert np.array_equal(full, bits.reshape(n, classes, group).sum(axis=2))
+
+
 def test_group_logits_rejects_ragged_width():
     with pytest.raises(StructuralError):
         group_logits(BitMatrix.zeros(1, 10).to_signal_words(), 1, 3, tau=1.0)
