@@ -36,9 +36,9 @@ from .errors import (
 )
 from .model import (
     HardCircuit,
-    accuracy,
     estimate_interconnect_memory,
     format_bytes,
+    group_logits,
     harden,
     predict,
     random_network,
@@ -288,13 +288,12 @@ def _load_circuit(args) -> tuple[HardCircuit, np.ndarray | None, dict]:
     extra: dict = {}
     if getattr(args, "checkpoint", None):
         model, thresholds, extra = load_checkpoint(args.checkpoint)
+    if getattr(args, "netlist", None):
+        circuit = load_netlist(args.netlist)  # netlist wins; ckpt for encoder
+    elif getattr(args, "checkpoint", None):
         circuit = harden(model)
-    elif getattr(args, "netlist", None):
-        circuit = load_netlist(args.netlist)
     else:
         raise ConfigError("need --checkpoint or --netlist")
-    if getattr(args, "netlist", None) and getattr(args, "checkpoint", None):
-        circuit = load_netlist(args.netlist)  # netlist wins; ckpt for encoder
     return circuit, thresholds, extra
 
 
@@ -350,30 +349,33 @@ def cmd_prune(args) -> int:
             args, circuit, thresholds, cfg
         )
 
+    # One evaluation per pass boundary: the profile after each pass gives
+    # its accuracy and is what the next lossy pass consumes.
+    profile = None if bits is None else profile_activations(circuit, bits)
     rows = []
     for name in passes:
-        acc_before = (
-            accuracy(circuit, bits, labels) if bits is not None else None
-        )
         if name == "trivial":
             circuit, report = trivial_prune(circuit)
         elif name == "equivalence":
             circuit, report = logic_equivalence_prune(circuit)
         elif name == "greedy":
-            profile = profile_activations(circuit, bits)
             circuit, report = greedy_prune(
                 circuit, profile, args.greedy_threshold
             )
         else:
-            profile = profile_activations(circuit, bits)
             circuit, report = similarity_prune(
                 circuit, profile, args.similarity_c
             )
-        report.accuracy_before = acc_before
-        report.accuracy_after = (
-            accuracy(circuit, bits, labels) if bits is not None else None
-        )
-        report.split = args.split if bits is not None else None
+        if bits is not None:
+            profile = profile_activations(circuit, bits)
+            logits = group_logits(
+                profile.words[-1], bits.n_samples, circuit.num_classes,
+                circuit.tau,
+            )
+            report.accuracy_after = float(
+                np.mean(np.argmax(logits, axis=1) == labels)
+            )
+            report.split = args.split
         rows.extend(report.csv_rows())
         print(
             f"{name}: {sum(report.gates_before)} -> "

@@ -31,6 +31,7 @@ from .model import (
 )
 
 SUPPORT_LIMIT = 24
+SIGNATURE_WORDS = 16  # 1024 random vectors propose equivalence merges
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,6 @@ class ConeFunction:
             raise StructuralError("cone is not constant")
         return self.table[0]
 
-    def bucket_key(self) -> int:
-        """Layer-local hash: sum of surviving variable indices."""
-        return sum(self.support)
-
     def evaluate(self, assignment: dict[int, int]) -> int:
         r = 0
         for v, var in enumerate(self.support):
@@ -114,69 +111,55 @@ def compose_cones(
     return ConeFunction.from_nd(tuple(support), out)
 
 
-def _layer_cones(
-    layer: HardLayer, prev: list[ConeFunction], layer_index: int, limit: int
-) -> list[ConeFunction]:
-    cones = []
-    for gi in range(layer.n_gates):
-        try:
-            cones.append(
-                compose_cones(
-                    int(layer.code[gi]),
-                    prev[layer.in0[gi]],
-                    prev[layer.in1[gi]],
-                    limit,
-                )
-            )
-        except OversizedConeError as exc:
-            raise OversizedConeError(
-                layer_index, gi, exc.support_size, limit
-            ) from None
-    return cones
+def _cone(
+    circuit: HardCircuit, li: int, gi: int, memo: dict, limit: int
+) -> ConeFunction:
+    """Cone of gate gi of layer li (input gi when li < 0), memoized in
+    `memo`. Slots the gate's table does not read are never visited."""
+    if li < 0:
+        return ConeFunction.input_var(gi)
+    cone = memo.get((li, gi))
+    if cone is None:
+        lay = circuit.layers[li]
+        code = int(lay.code[gi])
+        if code in (CONST0, CONST1):
+            cone = ConeFunction.constant(code & 1)
+        else:
+            a = b = None
+            if DEPENDS_A[code]:
+                a = _cone(circuit, li - 1, int(lay.in0[gi]), memo, limit)
+            if DEPENDS_B[code]:
+                b = _cone(circuit, li - 1, int(lay.in1[gi]), memo, limit)
+            try:  # an unread slot takes the read one's cone
+                cone = compose_cones(code, a or b, b or a, limit)
+            except OversizedConeError as exc:
+                raise OversizedConeError(
+                    li, gi, exc.support_size, limit
+                ) from None
+        memo[(li, gi)] = cone
+    return cone
 
 
 def all_cones(
     circuit: HardCircuit, limit: int = SUPPORT_LIMIT
 ) -> list[list[ConeFunction]]:
     """Cone of every gate, layer by layer."""
-    prev = [ConeFunction.input_var(i) for i in range(circuit.input_width)]
-    out = []
-    for li, layer in enumerate(circuit.layers):
-        prev = _layer_cones(layer, prev, li, limit)
-        out.append(prev)
-    return out
+    memo: dict = {}
+    return [
+        [_cone(circuit, li, gi, memo, limit) for gi in range(lay.n_gates)]
+        for li, lay in enumerate(circuit.layers)
+    ]
 
 
 def cone_of(
     circuit: HardCircuit, layer: int, gate: int, limit: int = SUPPORT_LIMIT
 ) -> ConeFunction:
     """Exact support-reduced function of one gate over primary inputs."""
-    memo: dict[tuple[int, int], ConeFunction] = {}
-
-    def rec(li: int, gi: int) -> ConeFunction:
-        if li < 0:
-            return ConeFunction.input_var(gi)
-        key = (li, gi)
-        if key not in memo:
-            lay = circuit.layers[li]
-            try:
-                memo[key] = compose_cones(
-                    int(lay.code[gi]),
-                    rec(li - 1, lay.in0[gi]),
-                    rec(li - 1, lay.in1[gi]),
-                    limit,
-                )
-            except OversizedConeError as exc:
-                raise OversizedConeError(
-                    li, gi, exc.support_size, limit
-                ) from None
-        return memo[key]
-
     if not (0 <= layer < len(circuit.layers)):
         raise StructuralError(f"no layer {layer}")
     if not (0 <= gate < circuit.layers[layer].n_gates):
         raise StructuralError(f"no gate {gate} in layer {layer}")
-    return rec(layer, gate)
+    return _cone(circuit, layer, gate, {}, limit)
 
 
 @dataclass
@@ -187,7 +170,6 @@ class PruneReport:
     # (layer, old gate) -> ("gate", layer, survivor old-index)
     #                    | ("const", bit) | ("dropped", None)
     reroute: dict = field(default_factory=dict)
-    accuracy_before: float | None = None
     accuracy_after: float | None = None
     split: str | None = None
 
@@ -274,71 +256,88 @@ def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
     return pruned, report
 
 
+def _signature_inputs(width: int) -> BitMatrix:
+    """Fixed-seed random inputs: SIGNATURE_WORDS words of 64 vectors."""
+    words = np.random.default_rng(0).integers(
+        0, 1 << 64, size=(width, SIGNATURE_WORDS), dtype=np.uint64
+    )
+    return BitMatrix.from_signal_words(words, 64 * SIGNATURE_WORDS)
+
+
 def logic_equivalence_prune(
     circuit: HardCircuit, limit: int = SUPPORT_LIMIT
 ) -> tuple[HardCircuit, PruneReport]:
     """Merge gates whose cones are identical Boolean functions.
 
-    Per layer, front to back: bucket gates by the sum of their support
-    indices, compare (support, table) exactly within buckets, keep the
-    lowest-indexed member of each class and reroute readers of the rest
-    to it. Gates with constant cones become literal constant gates; their
-    duplicates reroute to the lowest-indexed one. Output bits are
-    preserved on every input; a trivial pass then reclaims dead gates.
+    Simulation proposes, cones prove. The circuit is evaluated once on
+    fixed random inputs; equal functions give equal signature rows, so
+    only gates that share a row, or whose row is all-0 or all-1, can
+    merge or be constant, and only those get exact cones. Per layer,
+    front to back, (support, table) is compared within a row's group,
+    the lowest-indexed member of each class is kept and readers of the
+    rest are rerouted to it. Gates with constant cones become literal
+    constant gates; their duplicates reroute to the lowest-indexed one.
+    Output bits are preserved on every input; a trivial pass then
+    reclaims dead gates.
     """
-    circuit = circuit.copy()
+    signatures = eval_circuit_layers(
+        circuit, _signature_inputs(circuit.input_width)
+    )
+    original, circuit = circuit, circuit.copy()
     before = circuit.layer_widths
     reroute: dict = {}
     n_layers = len(circuit.layers)
-    prev = [ConeFunction.input_var(i) for i in range(circuit.input_width)]
+    memo: dict = {}
 
     for li in range(n_layers):
         layer = circuit.layers[li]
-        cones = _layer_cones(layer, prev, li, limit)
         is_final = li == n_layers - 1
+        sig = signatures[li]
+        proposed = ~sig.any(axis=1) | ~(~sig).any(axis=1)
+        group = np.zeros(layer.n_gates, dtype=np.int64)
+        if not is_final:  # the final layer only rewrites constants
+            _, group, sizes = np.unique(
+                sig, axis=0, return_inverse=True, return_counts=True
+            )
+            group = group.ravel()
+            proposed |= sizes[group] > 1
 
-        # Canonical representative per distinct function, via the
-        # sum-of-support buckets (bucket collisions compare exactly).
-        buckets: dict[int, list[int]] = {}
-        rep_of: dict[int, int] = {}  # gate -> representative gate
-        for gi, cone in enumerate(cones):
-            bucket = buckets.setdefault(cone.bucket_key(), [])
-            for other in bucket:
-                if (
-                    cones[other].support == cone.support
-                    and cones[other].table == cone.table
-                ):
+        # Canonical representative per distinct function: exact cone
+        # comparison within each signature group, in index order.
+        classes: dict[int, list[int]] = {}
+        cones: dict[int, ConeFunction] = {}
+        rep_of = np.arange(layer.n_gates, dtype=np.int64)
+        for gi in np.flatnonzero(proposed).tolist():
+            cone = cones[gi] = _cone(original, li, gi, memo, limit)
+            members = classes.setdefault(int(group[gi]), [])
+            for other in members:
+                if cones[other] == cone:
                     rep_of[gi] = other
                     break
             else:
-                bucket.append(gi)
-                rep_of[gi] = gi
+                members.append(gi)
 
         # Constant cones become literal constant gates. In the final
         # layer every such gate is rewritten (none can be merged away);
         # elsewhere only class representatives need the normal form.
-        for gi, cone in enumerate(cones):
+        for gi, cone in cones.items():
             if cone.is_constant and (rep_of[gi] == gi or is_final):
                 layer.code[gi] = CONST1 if cone.constant_value else CONST0
                 layer.in0[gi] = 0
                 layer.in1[gi] = 0
 
         if not is_final:
-            mapping = np.arange(layer.n_gates, dtype=np.int64)
-            for gi, rep in rep_of.items():
-                if rep != gi:
-                    mapping[gi] = rep
-                    cone = cones[gi]
-                    reroute[(li, gi)] = (
-                        ("const", cone.constant_value)
-                        if cone.is_constant
-                        else ("gate", li, rep)
-                    )
+            merged = np.flatnonzero(rep_of != np.arange(layer.n_gates))
+            for gi in merged.tolist():
+                cone = cones[gi]
+                reroute[(li, gi)] = (
+                    ("const", cone.constant_value)
+                    if cone.is_constant
+                    else ("gate", li, int(rep_of[gi]))
+                )
             nxt = circuit.layers[li + 1]
-            nxt.in0[:] = mapping[nxt.in0]
-            nxt.in1[:] = mapping[nxt.in1]
-
-        prev = cones
+            nxt.in0[:] = rep_of[nxt.in0]
+            nxt.in1[:] = rep_of[nxt.in1]
 
     pruned, trivial_report = trivial_prune(circuit)
     for key, val in trivial_report.reroute.items():
@@ -431,25 +430,28 @@ def phi_from_counts(n: int, ni, nj, nij):
 
 def _pair_correlations(
     words: np.ndarray, ones: np.ndarray, n: int, c: float,
-    block_bytes: int = 32 << 20,
-):
-    """Yield (rho, i, j) for all i<j pairs with defined rho >= c."""
+    block_bytes: int = 4 << 20,
+) -> list[tuple[float, int, int]]:
+    """Return (rho, i, j) for all i<j pairs with defined rho >= c.
+
+    Rows [lo, hi) pair only with columns lo: (the upper triangle), in
+    blocks whose AND temporary is about `block_bytes`."""
     g, w = words.shape
     block = max(1, block_bytes // max(1, g * w * 8))
     found = []
     for lo in range(0, g, block):
         hi = min(lo + block, g)
-        # popcount of pairwise ANDs: (block, G, W) -> (block, G)
+        # popcount of pairwise ANDs: (block, G - lo, W) -> (block, G - lo)
         inter = np.bitwise_count(
-            words[lo:hi, None, :] & words[None, :, :]
+            words[lo:hi, None, :] & words[None, lo:, :]
         ).sum(axis=2, dtype=np.int64)
-        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, :], inter)
+        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, lo:], inter)
         ii, jj = np.nonzero(rho >= c)
-        for a, b in zip(ii, jj):
-            i = lo + int(a)
-            j = int(b)
-            if i < j:
-                found.append((float(rho[a, b]), i, j))
+        upper = ii < jj
+        ii, jj = ii[upper], jj[upper]
+        found += zip(
+            rho[ii, jj].tolist(), (ii + lo).tolist(), (jj + lo).tolist()
+        )
     return found
 
 

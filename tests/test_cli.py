@@ -15,9 +15,12 @@ import sys
 import numpy as np
 import pytest
 
+from boolnet import cli, pruning
+from boolnet import model as model_mod
+from boolnet.bitmatrix import BitMatrix
 from boolnet.cli import main
-from boolnet.data import MNIST_FILES
-from boolnet.model import harden
+from boolnet.data import MNIST_FILES, synth_boolean_task
+from boolnet.model import eval_circuit_layers, harden
 from boolnet.serialize import dump_netlist, load_checkpoint, save_netlist
 from boolnet.model import random_network
 
@@ -249,6 +252,88 @@ def test_prune_all_passes_reports_accuracy(synth_run, tmp_path, capsys):
     manifest = json.loads((prune_dir / "manifest.json").read_text())
     assert manifest["command"] == "prune"
     assert manifest["dataset_provenance"].startswith("synth:")
+
+
+def test_prune_evaluates_once_per_pass_boundary(
+    synth_run, tmp_path, monkeypatch
+):
+    ini, out = synth_run
+    evaluated = []  # n_samples of every eval_circuit_layers call
+
+    def counted(circuit, inputs):
+        evaluated.append(inputs.n_samples)
+        return eval_circuit_layers(circuit, inputs)
+
+    monkeypatch.setattr(model_mod, "eval_circuit_layers", counted)
+    monkeypatch.setattr(pruning, "eval_circuit_layers", counted)
+
+    def recording(fn, results):
+        def wrapped(*args):
+            results.append(fn(*args))
+            return results[-1]
+
+        return wrapped
+
+    by_pass = {
+        "trivial": "trivial_prune",
+        "logic-equivalence": "logic_equivalence_prune",
+        "greedy": "greedy_prune",
+        "similarity": "similarity_prune",
+    }
+    results = {fn: [] for fn in by_pass.values()}
+    for fn, got in results.items():
+        monkeypatch.setattr(cli, fn, recording(getattr(cli, fn), got))
+    split = []
+    monkeypatch.setattr(
+        cli, "_encoded_split_for_circuit",
+        recording(cli._encoded_split_for_circuit, split),
+    )
+    prune_dir = tmp_path / "pruned_counted"
+    rc = main([
+        "prune", "--config", str(ini),
+        "--checkpoint", str(out / "checkpoint.npz"),
+        "--out", str(prune_dir), "--split", "val",
+    ])
+    assert rc == 0
+    bits, labels, _ = split[0]
+    # One profile before the first pass and one after each of the four;
+    # the equivalence pass adds one run on its random signature block.
+    assert evaluated.count(bits.n_samples) == 5
+    assert evaluated.count(64 * pruning.SIGNATURE_WORDS) == 1
+    assert len(evaluated) == 6
+    report = _read_csv(prune_dir / "prune_report.csv")
+    for row in report[1:]:
+        (pruned, _), = results[by_pass[row[0]]]
+        assert float(row[4]) == model_mod.accuracy(pruned, bits, labels)
+
+
+def test_netlist_beats_checkpoint_without_hardening_it(
+    synth_run, tmp_path, monkeypatch, capsys
+):
+    # With both artifacts the checkpoint only supplies the encoder, so
+    # its model must not be hardened (or validated) at all.
+    ini, out = synth_run
+    other = harden(random_network(8, [6, 4], 2, 4, seed=3))
+    nl = tmp_path / "other.netlist"
+    save_netlist(nl, other)
+
+    def no_harden(model):
+        raise AssertionError("checkpoint model hardened")
+
+    monkeypatch.setattr(cli, "harden", no_harden)
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", str(ini), "--checkpoint",
+        str(out / "checkpoint.npz"), "--netlist", str(nl),
+        "--split", "test",
+    ])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    x, y = synth_boolean_task(
+        "parity-of-subset", 8, 1200, seed=1
+    ).split_arrays("test")
+    acc = model_mod.accuracy(other, BitMatrix.from_array(x), y)
+    assert printed.startswith(f"test accuracy {acc:.4f} ")
 
 
 def test_eval_writes_confusion_matrix(synth_run, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from boolnet import pruning
 from boolnet.bitmatrix import BitMatrix
 from boolnet.errors import ConfigError, OversizedConeError, StructuralError
 from boolnet.model import (
@@ -8,10 +11,12 @@ from boolnet.model import (
     CONST0,
     CONST1,
     NAND,
+    NOR,
     NOT_A,
     OR,
     PROJ_A,
     PROJ_B,
+    XNOR,
     XOR,
     HardCircuit,
     HardLayer,
@@ -19,6 +24,7 @@ from boolnet.model import (
 )
 from boolnet.pruning import (
     ConeFunction,
+    _pair_correlations,
     all_cones,
     compose_cones,
     cone_of,
@@ -275,6 +281,141 @@ def test_equivalence_soundness_random_circuits(seed):
     assert report2.removed == 0
 
 
+def _oracle_equivalence(circuit: HardCircuit):
+    """The bucket algorithm: every gate's cone, compared exactly within
+    sum-of-support buckets in index order, then a trivial pass."""
+    circuit = circuit.copy()
+    n_layers = len(circuit.layers)
+    reroute = {}
+    for li, cones in enumerate(all_cones(circuit)):
+        layer = circuit.layers[li]
+        is_final = li == n_layers - 1
+        buckets, rep_of = {}, {}
+        for gi, cone in enumerate(cones):
+            bucket = buckets.setdefault(sum(cone.support), [])
+            for other in bucket:
+                if cones[other] == cone:
+                    rep_of[gi] = other
+                    break
+            else:
+                bucket.append(gi)
+                rep_of[gi] = gi
+        for gi, cone in enumerate(cones):
+            if cone.is_constant and (rep_of[gi] == gi or is_final):
+                layer.code[gi] = CONST1 if cone.constant_value else CONST0
+                layer.in0[gi] = layer.in1[gi] = 0
+        if not is_final:
+            mapping = np.array([rep_of[g] for g in range(layer.n_gates)])
+            for gi, rep in rep_of.items():
+                if rep != gi:
+                    reroute[(li, gi)] = (
+                        ("const", cones[gi].constant_value)
+                        if cones[gi].is_constant
+                        else ("gate", li, rep)
+                    )
+            nxt = circuit.layers[li + 1]
+            nxt.in0[:] = mapping[nxt.in0]
+            nxt.in1[:] = mapping[nxt.in1]
+    pruned, trivial_report = trivial_prune(circuit)
+    for key, val in trivial_report.reroute.items():
+        reroute.setdefault(key, val)
+    return pruned, reroute
+
+
+def _redundant_circuit(rng, width_in, widths) -> HardCircuit:
+    """Random circuit seeded with duplicate and swapped gates, constant
+    codes, XOR/XNOR of one signal with itself, and final-layer gates
+    whose cones are constant."""
+    circuit = _random_circuit(rng, width_in, widths)
+    for li, layer in enumerate(circuit.layers):
+        g = layer.n_gates
+        for gi in rng.choice(g, size=g // 3, replace=False):
+            src = int(rng.integers(0, g))
+            kind = rng.integers(0, 4)
+            if kind == 0:  # duplicate
+                layer.code[gi] = layer.code[src]
+                layer.in0[gi], layer.in1[gi] = layer.in0[src], layer.in1[src]
+            elif kind == 1:  # the same symmetric table, inputs swapped
+                code = rng.choice([AND, OR, XOR, XNOR, NAND, NOR])
+                layer.code[gi] = layer.code[src] = code
+                layer.in0[gi], layer.in1[gi] = layer.in1[src], layer.in0[src]
+            elif kind == 2:
+                layer.code[gi] = rng.choice([CONST0, CONST1])
+            else:
+                layer.code[gi] = rng.choice([XOR, XNOR])
+                layer.in1[gi] = layer.in0[gi]
+    final = circuit.layers[-1]
+    final.code[0] = XOR  # XOR(g, g) == 0
+    final.in1[0] = final.in0[0]
+    return circuit
+
+
+def _assert_equals_oracle(circuit: HardCircuit) -> None:
+    pruned, report = logic_equivalence_prune(circuit)
+    want, want_reroute = _oracle_equivalence(circuit)
+    assert pruned.layer_widths == want.layer_widths
+    for got_layer, want_layer in zip(pruned.layers, want.layers):
+        assert np.array_equal(got_layer.code, want_layer.code)
+        assert np.array_equal(got_layer.in0, want_layer.in0)
+        assert np.array_equal(got_layer.in1, want_layer.in1)
+    assert report.reroute == want_reroute
+
+
+def _oracle_circuits():
+    for seed in range(24):
+        rng = np.random.default_rng(500 + seed)
+        depth = 1 + seed % 5
+        widths = [int(rng.integers(4, 17)) for _ in range(depth)]
+        widths[-1] += widths[-1] % 2
+        yield _redundant_circuit(rng, int(rng.integers(2, 9)), widths)
+
+
+def test_equivalence_equals_bucket_oracle():
+    for circuit in _oracle_circuits():
+        _assert_equals_oracle(circuit)
+
+
+def test_equivalence_equals_oracle_when_every_signature_collides(
+    monkeypatch,
+):
+    # All-zero signature inputs: every gate reads all-0 or all-1, so
+    # every gate is proposed and only the cone comparison decides.
+    n = 64 * pruning.SIGNATURE_WORDS
+    monkeypatch.setattr(
+        pruning,
+        "_signature_inputs",
+        lambda width: BitMatrix.from_array(np.zeros((n, width), np.uint8)),
+    )
+    for circuit in _oracle_circuits():
+        _assert_equals_oracle(circuit)
+
+
+def _random_inputs(rng, n: int, width: int) -> BitMatrix:
+    return BitMatrix.from_array(rng.integers(0, 2, size=(n, width)))
+
+
+def test_equivalence_prunes_deep_wide_circuit():
+    # 784 -> 6 x 300: the all-cones pass raised OversizedConeError on
+    # it (a layer-5 cone over 32 inputs). Only proposed gates need cones.
+    rng = np.random.default_rng(0)
+    circuit = _random_circuit(rng, 784, [300] * 6)
+    pruned, report = logic_equivalence_prune(circuit)
+    assert report.removed > 0
+    x = _random_inputs(np.random.default_rng(1), 4096, 784)
+    assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
+
+
+def test_equivalence_depth_eight_exhaustive():
+    rng = np.random.default_rng(8)
+    circuit = _redundant_circuit(rng, 12, [24] * 7 + [8])
+    pruned, report = logic_equivalence_prune(circuit)
+    assert report.removed > 0
+    assert _outputs_equal(circuit, pruned)
+    again, report2 = logic_equivalence_prune(pruned)
+    assert report2.removed == 0
+    assert again.layer_widths == pruned.layer_widths
+
+
 # ---------------------------------------------------------------- profile
 
 
@@ -445,6 +586,54 @@ def test_similarity_sweep_is_monotone_on_random_circuit():
         pruned, _ = similarity_prune(circuit, profile, c=c)
         counts.append(pruned.n_gates)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def _brute_force_pairs(words, n, c):
+    bits = BitMatrix.from_signal_words(words, n).to_array().astype(np.int64)
+    ones = bits.sum(axis=0)
+    found = []
+    for i in range(bits.shape[1]):
+        for j in range(i + 1, bits.shape[1]):
+            nij = int(bits[:, i] @ bits[:, j])
+            rho = phi_from_counts(n, ones[i], ones[j], nij)
+            if rho >= c:
+                found.append((float(rho), i, j))
+    return found
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_pair_correlations_equal_brute_force(rows):
+    rng = np.random.default_rng(9)
+    n, g = 200, 40
+    base = rng.integers(0, 2, size=(n, 4))
+    bits = base[:, rng.integers(0, 4, size=g)]
+    flips = rng.random((n, g)) < rng.choice([0.0, 0.02, 0.3], size=g)
+    bits = bits ^ flips
+    bits[:, 5] = 0  # constant gates: rho undefined
+    bits[:, 6] = 1
+    words = BitMatrix.from_array(bits).to_signal_words()
+    ones = np.bitwise_count(words).sum(axis=1).astype(np.int64)
+    c = _brute_force_pairs(words, n, 0.5)[3][0]  # one pair sits at c
+    want = _brute_force_pairs(words, n, c)
+    assert any(rho == c for rho, _, _ in want)
+    assert not any(5 in (i, j) or 6 in (i, j) for _, i, j in want)
+    block_bytes = rows * g * words.shape[1] * 8
+    got = _pair_correlations(words, ones, n, c, block_bytes)
+    assert sorted(got) == sorted(want)
+
+
+def test_similarity_memory_stays_small():
+    rng = np.random.default_rng(10)
+    circuit = _random_circuit(rng, 64, [1000, 1000, 10])
+    data = _random_inputs(rng, 10_000, 64)
+    profile = profile_activations(circuit, data)
+    tracemalloc.start()
+    try:
+        similarity_prune(circuit, profile, c=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # ------------------------------------------------------------- reporting
