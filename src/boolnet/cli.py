@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .serialize import (
     save_checkpoint,
     save_netlist,
 )
-from .training import EncodedSplits, MetricRow, evaluate_arrays, train
+from .training import Adam, EncodedSplits, MetricRow, evaluate_arrays, train
 
 DATA_DIR_ENV = "BOOLNET_DATA_DIR"
 
@@ -66,35 +66,27 @@ EXIT_INGESTION = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    config: dict
-    seed: int
-    package_version: str = __version__
-    numpy_version: str = np.__version__
-    adam: dict = field(
-        default_factory=lambda: {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-    )
-    dataset_provenance: str = ""
-    outputs: list[str] = field(default_factory=list)
-    started_utc: str = ""
-    wall_s: float = 0.0
-
-    def write(self, out_dir: str) -> str:
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
-
-def _data_path(cfg, args) -> str:
-    path = getattr(args, "data", None) or cfg["data"]["path"] or os.environ.get(
-        DATA_DIR_ENV, ""
-    )
-    return path
+def _write_manifest(
+    args, cfg, provenance: str, outputs: list[str], started_utc: str,
+    wall_s: float,
+) -> None:
+    adam = Adam()
+    manifest = {
+        "command": args.command,
+        "argv": sys.argv[1:],
+        "config": cfg,
+        "seed": cfg["train"]["seed"],
+        "package_version": __version__,
+        "numpy_version": np.__version__,
+        "adam": {k: getattr(adam, k) for k in ("beta1", "beta2", "eps")},
+        "dataset_provenance": provenance,
+        "outputs": outputs,
+        "started_utc": started_utc,
+        "wall_s": wall_s,
+    }
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_dataset(cfg, args) -> Dataset:
@@ -107,7 +99,7 @@ def _load_dataset(cfg, args) -> Dataset:
             d["synth_samples"],
             seed=cfg["train"]["seed"],
         )
-    path = _data_path(cfg, args)
+    path = args.data or d["path"] or os.environ.get(DATA_DIR_ENV, "")
     if not path:
         raise ConfigError(
             f"dataset {name!r} needs --data, data.path, or ${DATA_DIR_ENV}"
@@ -126,26 +118,30 @@ def _limit(idx: np.ndarray, cap: int | None, seed: int) -> np.ndarray:
     return np.sort(rng.permutation(idx)[:cap])
 
 
-def _encode_split(
+def _encode(
     encoder: ThermometerEncoder | None, features: np.ndarray
-) -> np.ndarray:
-    if encoder is None:
-        if features.size and features.max() > 1:
-            raise ConfigError(
-                "encoding.mode=binary needs 0/1 features; use thermometer"
-            )
-        return features.astype(np.uint8)
-    return encode(encoder, features).to_array()
+) -> BitMatrix:
+    """Thermometer bits, or the features themselves when they are 0/1."""
+    if encoder is not None:
+        return encode(encoder, features)
+    if features.size and features.max() > 1:
+        raise ConfigError(
+            "features are not 0/1 and no thermometer thresholds are given; "
+            "use encoding.mode=thermometer, or a checkpoint that stores them"
+        )
+    return BitMatrix.from_array(features)
 
 
 def _prepare(cfg, args):
     """Dataset -> (dataset, encoder, dict of encoded split arrays)."""
+    d = cfg["data"]
+    for key, least in (("limit_train", 1), ("limit_test", 0)):
+        if d[key] is not None and d[key] < least:
+            raise ConfigError(f"data.{key} must be >= {least}, got {d[key]}")
     dataset = _load_dataset(cfg, args)
     seed = cfg["train"]["seed"]
-    tr_idx = _limit(dataset.indices("train"), cfg["data"]["limit_train"], seed)
-    te_idx = _limit(
-        dataset.indices("test"), cfg["data"]["limit_test"], seed + 1
-    )
+    tr_idx = _limit(dataset.indices("train"), d["limit_train"], seed)
+    te_idx = _limit(dataset.indices("test"), d["limit_test"], seed + 1)
     va_idx = dataset.indices("val")
 
     mode = cfg["encoding"]["mode"]
@@ -161,7 +157,7 @@ def _prepare(cfg, args):
     splits = {}
     for name, idx in (("train", tr_idx), ("val", va_idx), ("test", te_idx)):
         splits[name] = (
-            _encode_split(encoder, dataset.features[idx]),
+            _encode(encoder, dataset.features[idx]).to_array(),
             dataset.labels[idx],
         )
     return dataset, encoder, splits
@@ -178,32 +174,7 @@ def _write_metrics_csv(path: str, metrics: list[MetricRow]) -> None:
             )
 
 
-def _write_curves_csv(path: str, metrics: list[MetricRow]) -> None:
-    """Wide per-epoch layout matching common plotting columns."""
-    by_epoch: dict[int, dict[str, MetricRow]] = {}
-    for m in metrics:
-        by_epoch.setdefault(m.epoch, {})[m.split] = m
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "time", "train_mean", "test_mean"])
-        for epoch in sorted(by_epoch):
-            row = by_epoch[epoch]
-            tr = row.get("train")
-            va = row.get("val")
-            w.writerow(
-                [
-                    epoch,
-                    f"{(va or tr).wall_clock_s:.3f}",
-                    "" if tr is None else f"{tr.accuracy:.6f}",
-                    "" if va is None else f"{va.accuracy:.6f}",
-                ]
-            )
-
-
-def cmd_train(args) -> int:
-    t_start = time.monotonic()
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
+def cmd_train(args, cfg) -> tuple[str, list[str]]:
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -221,10 +192,7 @@ def cmd_train(args) -> int:
         logit_scale=cfg["model"]["logit_scale"],
     )
 
-    enc_splits = EncodedSplits(
-        splits["train"][0], splits["train"][1],
-        splits["val"][0], splits["val"][1],
-    )
+    enc_splits = EncodedSplits(*splits["train"], *splits["val"])
 
     def progress(row: MetricRow) -> None:
         if args.quiet:
@@ -259,63 +227,40 @@ def cmd_train(args) -> int:
     save_checkpoint(ck_path, model, thresholds, extra)
     metrics_path = os.path.join(args.out, "metrics.csv")
     _write_metrics_csv(metrics_path, metrics)
-    curves_path = os.path.join(args.out, "curves.csv")
-    _write_curves_csv(curves_path, metrics)
-
-    manifest = RunManifest(
-        command="train",
-        argv=list(sys.argv[1:]),
-        config=cfg,
-        seed=tconf.seed,
-        dataset_provenance=dataset.provenance,
-        outputs=[ck_path, metrics_path, curves_path],
-        started_utc=_utcnow(),
-        wall_s=time.monotonic() - t_start,
-    )
-    manifest.write(args.out)
     print(f"test accuracy {test_acc:.4f} (loss {test_loss:.4f})")
     print(f"checkpoint written to {ck_path}")
-    return EXIT_OK
+    return dataset.provenance, [ck_path, metrics_path]
 
 
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _load_circuit(args) -> tuple[HardCircuit, np.ndarray | None, dict]:
+def _load_circuit(args) -> tuple[HardCircuit, np.ndarray | None]:
     """Circuit plus (optional) thermometer thresholds from the artifacts."""
     thresholds = None
-    extra: dict = {}
-    if getattr(args, "checkpoint", None):
-        model, thresholds, extra = load_checkpoint(args.checkpoint)
-    if getattr(args, "netlist", None):
+    if args.checkpoint:
+        model, thresholds, _ = load_checkpoint(args.checkpoint)
+    if args.netlist:
         circuit = load_netlist(args.netlist)  # netlist wins; ckpt for encoder
-    elif getattr(args, "checkpoint", None):
+    elif args.checkpoint:
         circuit = harden(model)
     else:
         raise ConfigError("need --checkpoint or --netlist")
-    return circuit, thresholds, extra
+    return circuit, thresholds
 
 
 def _encoded_split_for_circuit(
     args, circuit: HardCircuit, thresholds, cfg
 ) -> tuple[BitMatrix, np.ndarray, str]:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     dataset = _load_dataset(cfg, args)
-    split = args.split
-    feats, labels = dataset.split_arrays(split)
-    if getattr(args, "limit", None):
+    feats, labels = dataset.split_arrays(args.split)
+    if args.limit is not None:
         feats = feats[: args.limit]
         labels = labels[: args.limit]
-    if thresholds is not None:
-        encoder = ThermometerEncoder(np.asarray(thresholds))
-        bits = encode(encoder, feats)
-    else:
-        if feats.size and feats.max() > 1:
-            raise ConfigError(
-                "dataset features are not binary and no thresholds are "
-                "stored; evaluate via a checkpoint"
-            )
-        bits = BitMatrix.from_array(feats)
+    encoder = (
+        None if thresholds is None
+        else ThermometerEncoder(np.asarray(thresholds))
+    )
+    bits = _encode(encoder, feats)
     if bits.n_signals != circuit.input_width:
         raise StructuralError(
             f"encoded width {bits.n_signals} != circuit input "
@@ -327,13 +272,10 @@ def _encoded_split_for_circuit(
 PASS_NAMES = ("trivial", "equivalence", "greedy", "similarity")
 
 
-def cmd_prune(args) -> int:
-    t_start = time.monotonic()
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
+def cmd_prune(args, cfg) -> tuple[str, list[str]]:
     os.makedirs(args.out, exist_ok=True)
 
-    circuit, thresholds, _ = _load_circuit(args)
+    circuit, thresholds = _load_circuit(args)
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     for p in passes:
         if p not in PASS_NAMES:
@@ -375,7 +317,6 @@ def cmd_prune(args) -> int:
             report.accuracy_after = float(
                 np.mean(np.argmax(logits, axis=1) == labels)
             )
-            report.split = args.split
         rows.extend(report.csv_rows())
         print(
             f"{name}: {sum(report.gates_before)} -> "
@@ -396,28 +337,12 @@ def cmd_prune(args) -> int:
         )
         w.writeheader()
         w.writerows(rows)
-
-    manifest = RunManifest(
-        command="prune",
-        argv=list(sys.argv[1:]),
-        config=cfg,
-        seed=cfg["train"]["seed"],
-        dataset_provenance=provenance,
-        outputs=[netlist_path, report_path],
-        started_utc=_utcnow(),
-        wall_s=time.monotonic() - t_start,
-    )
-    manifest.write(args.out)
     print(f"pruned netlist written to {netlist_path}")
-    return EXIT_OK
+    return provenance, [netlist_path, report_path]
 
 
-def cmd_eval(args) -> int:
-    t_start = time.monotonic()
-    cfg = load_config(args.config)
-    apply_overrides(cfg, args.set or [])
-
-    circuit, thresholds, _ = _load_circuit(args)
+def cmd_eval(args, cfg) -> tuple[str, list[str]]:
+    circuit, thresholds = _load_circuit(args)
     bits, labels, provenance = _encoded_split_for_circuit(
         args, circuit, thresholds, cfg
     )
@@ -428,32 +353,23 @@ def cmd_eval(args) -> int:
     np.add.at(confusion, (labels, pred), 1)
 
     print(f"{args.split} accuracy {acc:.4f} on {len(labels)} samples")
-    outputs = []
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        conf_path = os.path.join(args.out, "confusion.csv")
-        with open(conf_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["true_class"] + [f"pred_{i}" for i in range(k)])
-            for i in range(k):
-                w.writerow([i] + confusion[i].tolist())
-        outputs.append(conf_path)
-        manifest = RunManifest(
-            command="eval",
-            argv=list(sys.argv[1:]),
-            config=cfg,
-            seed=cfg["train"]["seed"],
-            dataset_provenance=provenance,
-            outputs=outputs,
-            started_utc=_utcnow(),
-            wall_s=time.monotonic() - t_start,
-        )
-        manifest.write(args.out)
-    return EXIT_OK
+    if not args.out:
+        return provenance, []
+    os.makedirs(args.out, exist_ok=True)
+    conf_path = os.path.join(args.out, "confusion.csv")
+    with open(conf_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["true_class"] + [f"pred_{i}" for i in range(k)])
+        for i in range(k):
+            w.writerow([i] + confusion[i].tolist())
+    return provenance, [conf_path]
 
 
 def cmd_estimate_mem(args) -> int:
-    est = estimate_interconnect_memory(args.G, args.I, args.k, args.C)
+    try:
+        est = estimate_interconnect_memory(args.G, args.I, args.k, args.C)
+    except StructuralError as exc:  # the arguments are user input
+        raise ConfigError(str(exc)) from exc
     print(
         f"full  interconnect: {est.bytes_full:>15d} B  "
         f"({format_bytes(est.bytes_full)})"
@@ -531,16 +447,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="inputs per gate")
     p.add_argument("--C", type=int, default=8, help="candidates per slot")
     p.add_argument("--csv", help="also write a CSV here")
-    p.set_defaults(func=cmd_estimate_mem)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    t_start = time.monotonic()
     try:
-        return args.func(args)
+        if args.command == "estimate-mem":
+            return cmd_estimate_mem(args)
+        cfg = load_config(args.config)
+        apply_overrides(cfg, args.set or [])
+        provenance, outputs = args.func(args, cfg)
+        if args.out:
+            _write_manifest(
+                args, cfg, provenance, outputs, started_utc,
+                time.monotonic() - t_start,
+            )
+        return EXIT_OK
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

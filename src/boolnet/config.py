@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 import copy
+import dataclasses
+import typing
 from typing import Any, Callable
 
 from .errors import ConfigError
@@ -36,6 +38,9 @@ def _str(text: str) -> str:
     return text.strip()
 
 
+_TYPE_PARSERS = {int: int, float: float, str: _str, int | None: _opt_int}
+_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+
 # (section, key) -> (parser, default)
 SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
     "data": {
@@ -56,20 +61,11 @@ SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any]]] = {
         "layer_widths": (_int_list, [1000, 1000, 1000]),
         "logit_scale": (float, 0.1),
     },
+    # TrainConfig itself: a key is the field name in lower case, because
+    # configparser lowercases keys; its parser follows the field's type.
     "train": {
-        "total_epochs": (int, 100),
-        "finetune_epochs": (int, 0),
-        "layers_to_learn": (int, 1),
-        "c": (int, 8),
-        "r": (_opt_int, None),
-        "beta": (int, 20),
-        "tau": (float, 30.0),
-        "batch_size": (int, 100),
-        "lr_init": (float, 1e-2),
-        "lr_final": (float, 1e-5),
-        "sampling_mode": (_str, "random"),
-        "interconnect_mode": (_str, "learnable"),
-        "seed": (int, 0),
+        f.name.lower(): (_TYPE_PARSERS[_TRAIN_TYPES[f.name]], f.default)
+        for f in dataclasses.fields(TrainConfig)
     },
 }
 
@@ -138,17 +134,5 @@ def apply_overrides(
 def train_config_from(cfg: dict[str, dict[str, Any]]) -> TrainConfig:
     t = cfg["train"]
     return TrainConfig(
-        total_epochs=t["total_epochs"],
-        finetune_epochs=t["finetune_epochs"],
-        layers_to_learn=t["layers_to_learn"],
-        C=t["c"],
-        R=t["r"],
-        beta=t["beta"],
-        tau=t["tau"],
-        batch_size=t["batch_size"],
-        lr_init=t["lr_init"],
-        lr_final=t["lr_final"],
-        sampling_mode=t["sampling_mode"],
-        interconnect_mode=t["interconnect_mode"],
-        seed=t["seed"],
+        **{f.name: t[f.name.lower()] for f in dataclasses.fields(TrainConfig)}
     )

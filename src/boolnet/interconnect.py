@@ -19,7 +19,6 @@ Later slices improve fewer slots, and the merge shrinks with them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,40 +216,9 @@ class RefreshEvent:
     """Record of one refresh: which slot entries changed and the floor
     weight each slot's newcomers inherited."""
 
-    layer: int
-    step: int
-    n_replaced: int
     old_indices: np.ndarray  # (G, 2, R) int64
     new_indices: np.ndarray  # (G, 2, R) int64
     w_floor: np.ndarray  # (G, 2) float32
-
-    def to_dict(self, detail: bool = False) -> dict:
-        d = {
-            "layer": self.layer,
-            "step": self.step,
-            "n_replaced": self.n_replaced,
-            "n_slots": int(self.w_floor.size),
-        }
-        if self.w_floor.size:
-            d["w_floor_min"] = float(self.w_floor.min())
-            d["w_floor_max"] = float(self.w_floor.max())
-        if detail:
-            d["old_indices"] = self.old_indices.tolist()
-            d["new_indices"] = self.new_indices.tolist()
-            d["w_floor"] = self.w_floor.tolist()
-        return d
-
-
-class RefreshLog:
-    """Newline-delimited JSON audit trail of refresh events."""
-
-    def __init__(self, path, detail: bool = False):
-        self.path = path
-        self.detail = detail
-
-    def write(self, event: RefreshEvent) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(event.to_dict(self.detail)) + "\n")
 
 
 def refresh_candidates(
@@ -258,8 +226,6 @@ def refresh_candidates(
     sampler,
     R: int,
     fan_in_width: int,
-    layer_index: int = 0,
-    step: int = 0,
 ) -> RefreshEvent:
     """Replace each slot's R weakest candidates in place.
 
@@ -275,9 +241,6 @@ def refresh_candidates(
     G = layer.n_gates
     if R == 0:
         return RefreshEvent(
-            layer_index,
-            step,
-            0,
             np.empty((G, 2, 0), dtype=np.int64),
             np.empty((G, 2, 0), dtype=np.int64),
             np.zeros((G, 2), dtype=np.float32),
@@ -303,9 +266,6 @@ def refresh_candidates(
     weights[rows, repl_pos] = w_floor[:, None]
 
     return RefreshEvent(
-        layer_index,
-        step,
-        R,
         old_idx.reshape(G, 2, R).astype(np.int64),
         new_idx.reshape(G, 2, R).astype(np.int64),
         w_floor.reshape(G, 2).astype(np.float32),

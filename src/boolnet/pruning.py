@@ -171,7 +171,6 @@ class PruneReport:
     #                    | ("const", bit) | ("dropped", None)
     reroute: dict = field(default_factory=dict)
     accuracy_after: float | None = None
-    split: str | None = None
 
     @property
     def removed(self) -> int:

@@ -438,7 +438,6 @@ def train(
     splits: EncodedSplits,
     config: TrainConfig,
     budget_seconds: float | None = None,
-    refresh_log=None,
     progress=None,
 ) -> tuple[NetworkModel, list[MetricRow]]:
     """Run the layer-wise schedule and return the model plus metrics.
@@ -455,6 +454,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     phases = build_phases(config, len(model.layers))
     n_train = len(splits.train_y)
+    if n_train == 0:
+        raise ConfigError("the training split is empty")
     steps_per_epoch = max(1, -(-n_train // config.batch_size))
 
     metrics: list[MetricRow] = []
@@ -519,16 +520,12 @@ def train(
                         sampler = GradientGuidedSampler(
                             cache.x_layers[li], grads.dy[li]
                         )
-                    event = refresh_candidates(
+                    refresh_candidates(
                         model.layers[li],
                         sampler,
                         config.R,
                         model.fan_in_width(li),
-                        layer_index=li,
-                        step=global_step,
                     )
-                    if refresh_log is not None:
-                        refresh_log.write(event)
 
             now = time.monotonic() - t0
             metrics.append(

@@ -6,6 +6,8 @@ subprocesses.
 """
 
 import csv
+import dataclasses
+import datetime
 import json
 import os
 import struct
@@ -19,10 +21,18 @@ from boolnet import cli, pruning
 from boolnet import model as model_mod
 from boolnet.bitmatrix import BitMatrix
 from boolnet.cli import main
+from boolnet.config import (
+    SCHEMA,
+    apply_overrides,
+    default_config,
+    load_config,
+    train_config_from,
+)
 from boolnet.data import MNIST_FILES, synth_boolean_task
 from boolnet.model import eval_circuit_layers, harden
 from boolnet.serialize import dump_netlist, load_checkpoint, save_netlist
 from boolnet.model import random_network
+from boolnet.training import TrainConfig
 
 SYNTH_INI = """\
 [data]
@@ -71,9 +81,9 @@ def _read_csv(path):
 
 def test_train_writes_artifacts(synth_run):
     _, out = synth_run
-    for name in ("checkpoint.npz", "metrics.csv", "curves.csv",
-                 "manifest.json"):
-        assert (out / name).exists(), name
+    assert sorted(os.listdir(out)) == [
+        "checkpoint.npz", "manifest.json", "metrics.csv"
+    ]
 
     rows = _read_csv(out / "metrics.csv")
     assert rows[0] == ["epoch", "split", "accuracy", "loss", "wall_clock_s",
@@ -82,12 +92,7 @@ def test_train_writes_artifacts(synth_run):
     assert {r[1] for r in rows[1:]} == {"train", "val"}
     epochs = sorted({int(r[0]) for r in rows[1:]})
     assert epochs == list(range(5))  # 4 schedule epochs + 1 finetune
-
-    curves = _read_csv(out / "curves.csv")
-    assert curves[0] == ["epoch", "time", "train_mean", "test_mean"]
-    assert len(curves) == 6
-    accs = [float(r[2]) for r in curves[1:]]
-    assert all(0.0 <= a <= 1.0 for a in accs)
+    assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
 
 
 def test_train_manifest_contents(synth_run):
@@ -102,6 +107,29 @@ def test_train_manifest_contents(synth_run):
     assert manifest["dataset_provenance"].startswith("synth:")
     assert any(p.endswith("checkpoint.npz") for p in manifest["outputs"])
     assert manifest["wall_s"] > 0
+
+
+def test_manifest_started_utc_is_stamped_before_training(
+    synth_run, tmp_path, monkeypatch
+):
+    ini, _ = synth_run
+    train_called = []
+
+    def stamped(*args, **kwargs):
+        train_called.append(datetime.datetime.now(datetime.timezone.utc))
+        return original(*args, **kwargs)
+
+    original = cli.train
+    monkeypatch.setattr(cli, "train", stamped)
+    before_main = datetime.datetime.now(datetime.timezone.utc)
+    rc = main([
+        "train", "--config", str(ini), "--out", str(tmp_path), "--quiet",
+        "--set", "train.total_epochs=1", "--set", "train.finetune_epochs=0",
+    ])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    started = datetime.datetime.fromisoformat(manifest["started_utc"])
+    assert before_main <= started <= train_called[0]
 
 
 def test_checkpoint_round_trips_through_loader(synth_run):
@@ -126,6 +154,46 @@ def test_set_override_beats_config_file(synth_run, tmp_path):
     assert manifest["config"]["train"]["total_epochs"] == 2
     rows = _read_csv(out / "metrics.csv")
     assert max(int(r[0]) for r in rows[1:]) == 1  # epochs 0 and 1
+
+
+# One non-default text per TrainConfig field, each valid on its own.
+TRAIN_OVERRIDES = {
+    "total_epochs": ("7", 7),
+    "finetune_epochs": ("2", 2),
+    "layers_to_learn": ("2", 2),
+    "c": ("6", 6),
+    "r": ("3", 3),
+    "beta": ("5", 5),
+    "tau": ("2.5", 2.5),
+    "batch_size": ("17", 17),
+    "lr_init": ("0.5", 0.5),
+    "lr_final": ("1e-6", 1e-6),
+    "sampling_mode": ("gradient_guided", "gradient_guided"),
+    "interconnect_mode": ("fixed", "fixed"),
+    "seed": ("9", 9),
+}
+
+
+def test_train_section_is_train_config(tmp_path):
+    assert set(SCHEMA["train"]) == set(TRAIN_OVERRIDES)
+    assert train_config_from(default_config()) == TrainConfig()
+    fields = dataclasses.fields(TrainConfig)
+    assert sorted(f.name.lower() for f in fields) == sorted(TRAIN_OVERRIDES)
+    ini = tmp_path / "train.ini"
+    ini.write_text("[train]\n" + "".join(
+        f"{key} = {text}\n" for key, (text, _) in TRAIN_OVERRIDES.items()
+    ))
+    from_file = train_config_from(load_config(str(ini)))
+    for f in fields:
+        key = f.name.lower()
+        text, value = TRAIN_OVERRIDES[key]
+        cfg = default_config()
+        apply_overrides(cfg, [f"train.{key}={text}"])
+        assert getattr(train_config_from(cfg), f.name) == value, key
+        assert getattr(from_file, f.name) == value, key
+    cfg = default_config()
+    apply_overrides(cfg, ["train.r=3", "train.r="])  # empty: R = C // 2
+    assert cfg["train"]["r"] is None
 
 
 def test_train_rerun_is_deterministic(synth_run, tmp_path, capsys):
@@ -367,6 +435,44 @@ def test_eval_limit_caps_samples(synth_run, capsys):
     assert "on 7 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, limit",
+    [("eval", "-5"), ("eval", "0"), ("prune", "-1")],
+)
+def test_limit_below_one_exits_2(synth_run, tmp_path, command, limit, capsys):
+    ini, out = synth_run
+    rc = main([
+        command, "--config", str(ini),
+        "--checkpoint", str(out / "checkpoint.npz"),
+        "--out", str(tmp_path / "o"), "--limit", limit,
+    ])
+    assert rc == 2
+    assert "--limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["data.limit_train=-3"], "data.limit_train"),
+        (["data.limit_test=-1"], "data.limit_test"),
+        (["data.limit_train=0"], "data.limit_train"),
+        (
+            ["data.limit_train=0", "encoding.mode=thermometer",
+             "encoding.thresholds=2"],
+            "data.limit_train",
+        ),
+    ],
+)
+def test_bad_sample_cap_exits_2(synth_run, tmp_path, overrides, key, capsys):
+    ini, _ = synth_run
+    argv = ["train", "--config", str(ini), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ estimate-mem
 
 
@@ -383,6 +489,11 @@ def test_estimate_mem_matches_formulas(tmp_path, capsys):
     rows = _read_csv(csv_path)
     assert rows[0] == ["G", "I", "k", "C", "bytes_full", "bytes_sparse"]
     assert rows[1] == ["12000", "30720", "2", "8", "2949120000", "1536000"]
+
+
+def test_estimate_mem_nonpositive_argument_exits_2(capsys):
+    assert main(["estimate-mem", "0", "10"]) == 2
+    assert "positive" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- exit codes

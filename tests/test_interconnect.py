@@ -2,15 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from boolnet.errors import StructuralError, UsageError
 from boolnet.interconnect import (
     GradientGuidedSampler,
     RandomSampler,
-    RefreshEvent,
-    RefreshLog,
     _exact_slots,
     _guided_top_r,
     connection_scores_chunk,
@@ -81,7 +77,7 @@ def test_refresh_zero_budget_is_noop():
     event = refresh_candidates(
         layer, RandomSampler(np.random.default_rng(3)), R=0, fan_in_width=30
     )
-    assert event.n_replaced == 0
+    assert event.new_indices.shape == (1, 2, 0)
     assert np.array_equal(layer.candidates, snap)
 
 
@@ -96,9 +92,9 @@ def test_refresh_keeps_candidates_distinct():
     for g in range(6):
         for j in range(2):
             layer.candidates[g, j] = rng.choice(9, size=4, replace=False)
-    for step in range(50):
+    for _ in range(50):
         refresh_candidates(
-            layer, RandomSampler(rng), R=2, fan_in_width=9, step=step
+            layer, RandomSampler(rng), R=2, fan_in_width=9
         )
         layer.validate(fan_in_width=9)
 
@@ -134,25 +130,8 @@ def test_hardened_choice_stability_under_refresh():
         cand = rng.choice(I, size=C, replace=False)
         layer = _one_slot_layer(cand, w)
         before = layer.selected_slots().copy()
-        refresh_candidates(layer, RandomSampler(rng), R, I, step=trial)
+        refresh_candidates(layer, RandomSampler(rng), R, I)
         assert np.array_equal(layer.selected_slots(), before)
-
-
-def test_refresh_log_writes_ndjson(tmp_path):
-    import json
-
-    path = tmp_path / "refresh.ndjson"
-    log = RefreshLog(path, detail=True)
-    layer = _one_slot_layer([1, 2, 3], [0.5, 0.1, 0.9])
-    event = refresh_candidates(
-        layer, RandomSampler(np.random.default_rng(0)), 1, 20,
-        layer_index=2, step=7,
-    )
-    log.write(event)
-    rows = [json.loads(ln) for ln in open(path)]
-    assert rows[0]["layer"] == 2 and rows[0]["step"] == 7
-    assert rows[0]["n_replaced"] == 1
-    assert rows[0]["old_indices"] == [[[2], [2]]]
 
 
 # ----------------------------------------------------------- random draws
@@ -401,21 +380,3 @@ def test_whole_layer_memory_does_not_grow_with_width():
         tracemalloc.stop()
         peaks.append(peak)
     assert peaks[-1] < peaks[0] * 1.25 + 64 * 1024
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_refresh_event_dict_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    event = RefreshEvent(
-        layer=1,
-        step=int(rng.integers(0, 100)),
-        n_replaced=2,
-        old_indices=rng.integers(0, 9, size=(2, 2, 2)),
-        new_indices=rng.integers(0, 9, size=(2, 2, 2)),
-        w_floor=rng.normal(size=(2, 2)).astype(np.float32),
-    )
-    d = event.to_dict(detail=True)
-    assert d["n_slots"] == 4
-    assert np.array_equal(np.array(d["new_indices"]), event.new_indices)
-    assert d["w_floor_min"] == pytest.approx(float(event.w_floor.min()))

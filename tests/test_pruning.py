@@ -5,6 +5,7 @@ import pytest
 
 from boolnet import pruning
 from boolnet.bitmatrix import BitMatrix
+from boolnet.data import synth_boolean_task
 from boolnet.errors import ConfigError, OversizedConeError, StructuralError
 from boolnet.model import (
     AND,
@@ -21,6 +22,8 @@ from boolnet.model import (
     HardCircuit,
     HardLayer,
     eval_circuit,
+    harden,
+    random_network,
 )
 from boolnet.pruning import (
     ConeFunction,
@@ -35,6 +38,7 @@ from boolnet.pruning import (
     similarity_prune,
     trivial_prune,
 )
+from boolnet.training import EncodedSplits, TrainConfig, train
 
 
 def _all_inputs(width: int) -> BitMatrix:
@@ -651,3 +655,38 @@ def test_prune_report_accounting():
     assert [r["layer"] for r in rows] == [0, 1]
     assert rows[0]["pass"] == "trivial"
     assert rows[0]["before"] == 3 and rows[0]["after"] == 1
+
+
+def test_threshold_one_passes_keep_every_output_bit_on_profiling_set():
+    """Synthetic twin of acceptance test 07. The features are the task's
+    bits twice, a copy with 3% of its bits flipped, and four bits that are
+    set 3% of the time. Gates reading different exact copies differ as
+    functions but agree on every sample, so similarity at c = 1.0 has
+    merges that the exact passes cannot make; the noisy copy and the
+    sparse bits give near-duplicates and near-constants, which change
+    output bits here if c or the greedy threshold slips below 1.0."""
+    touched = {"greedy": 0, "similarity": 0}
+    for seed in range(6):
+        ds = synth_boolean_task("parity-of-subset", 8, 600, seed=seed)
+        x, y = ds.split_arrays("train")
+        rng = np.random.default_rng(seed)
+        noisy = x ^ (rng.random(x.shape) < 0.03)
+        sparse = rng.random((len(x), 4)) < 0.03
+        x = np.concatenate([x, x, noisy, sparse], axis=1).astype(np.uint8)
+        model = random_network(x.shape[1], [48, 16], 2, candidates_per_slot=4,
+                               seed=seed, tau=2.0)
+        cfg = TrainConfig(total_epochs=4, finetune_epochs=1, C=4, R=2,
+                          beta=5, tau=2.0, batch_size=32, lr_init=0.05,
+                          seed=seed)
+        model, _ = train(model, EncodedSplits(x, y), cfg)
+        circuit, _ = trivial_prune(harden(model))
+        circuit, _ = logic_equivalence_prune(circuit)
+        bits = BitMatrix.from_array(x)
+        profile = profile_activations(circuit, bits)
+        outputs = eval_circuit(circuit, bits).words
+        for name, prune in (("greedy", greedy_prune),
+                            ("similarity", similarity_prune)):
+            pruned, report = prune(circuit, profile, 1.0)
+            assert np.array_equal(eval_circuit(pruned, bits).words, outputs)
+            touched[name] += len(report.reroute)
+    assert min(touched.values()) > 0, touched

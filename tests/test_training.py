@@ -354,6 +354,13 @@ def test_train_learns_parity_of_two_bits():
     assert phases == {"interconnect-0", "finetune"}
 
 
+def test_train_rejects_empty_training_split():
+    model = random_network(6, [4, 2], 2, candidates_per_slot=3, seed=0)
+    empty = EncodedSplits(np.zeros((0, 6), np.uint8), np.zeros(0, np.int64))
+    with pytest.raises(ConfigError, match="empty"):
+        train(model, empty, TrainConfig(total_epochs=1, C=3))
+
+
 @pytest.mark.parametrize("sampling_mode", ["random", "gradient_guided"])
 def test_train_is_deterministic(sampling_mode):
     rng = np.random.default_rng(9)
