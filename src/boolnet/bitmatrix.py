@@ -107,7 +107,7 @@ class BitMatrix:
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
         rows = _transpose_bits(self.words, self.n_samples).view(np.uint8)
-        return np.unpackbits(rows, axis=1, bitorder="little")[:, : self.n_signals]
+        return np.unpackbits(rows, 1, self.n_signals, bitorder="little")
 
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
         rows = _transpose_bits(self.words, self.n_samples)[lo:hi]

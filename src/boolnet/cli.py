@@ -67,13 +67,13 @@ EXIT_INTERNAL = 4
 
 
 def _write_manifest(
-    args, cfg, provenance: str, outputs: list[str], started_utc: str,
-    wall_s: float,
+    args, argv: list[str], cfg, provenance: str, outputs: list[str],
+    started_utc: str, wall_s: float,
 ) -> None:
     adam = Adam()
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "config": cfg,
         "seed": cfg["train"]["seed"],
         "package_version": __version__,
@@ -135,24 +135,26 @@ def _encode(
 def _prepare(cfg, args):
     """Dataset -> (dataset, encoder, dict of encoded split arrays)."""
     d = cfg["data"]
-    for key, least in (("limit_train", 1), ("limit_test", 0)):
+    for key, least in (("limit_train", 1), ("limit_test", 0), ("val_size", 0)):
         if d[key] is not None and d[key] < least:
             raise ConfigError(f"data.{key} must be >= {least}, got {d[key]}")
+    mode, T = cfg["encoding"]["mode"], cfg["encoding"]["thresholds"]
+    if mode not in ("thermometer", "binary"):
+        raise ConfigError(f"unknown encoding mode {mode!r}")
+    if mode == "thermometer" and T < 1:
+        raise ConfigError(f"encoding.thresholds must be >= 1, got {T}")
     dataset = _load_dataset(cfg, args)
     seed = cfg["train"]["seed"]
     tr_idx = _limit(dataset.indices("train"), d["limit_train"], seed)
     te_idx = _limit(dataset.indices("test"), d["limit_test"], seed + 1)
     va_idx = dataset.indices("val")
-
-    mode = cfg["encoding"]["mode"]
-    if mode == "thermometer":
-        encoder = fit_thresholds(
-            dataset.features[tr_idx], cfg["encoding"]["thresholds"]
+    if tr_idx.size == 0:
+        raise ConfigError(
+            f"no training samples left (data.val_size={d['val_size']})"
         )
-    elif mode == "binary":
-        encoder = None
-    else:
-        raise ConfigError(f"unknown encoding mode {mode!r}")
+
+    encoder = (fit_thresholds(dataset.features[tr_idx], T)
+               if mode == "thermometer" else None)
 
     splits = {}
     for name, idx in (("train", tr_idx), ("val", va_idx), ("test", te_idx)):
@@ -182,9 +184,13 @@ def cmd_train(args, cfg) -> tuple[str, list[str]]:
     dataset, encoder, splits = _prepare(cfg, args)
     tconf = train_config_from(cfg)
     input_width = splits["train"][0].shape[1]
+    widths = cfg["model"]["layer_widths"]
+    if not widths or widths[-1] % dataset.num_classes:
+        raise ConfigError(f"model.layer_widths {widths} must end in a "
+                          f"multiple of {dataset.num_classes} classes")
     model = random_network(
         input_width,
-        cfg["model"]["layer_widths"],
+        widths,
         dataset.num_classes,
         tconf.C,
         tau=tconf.tau,
@@ -452,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     started_utc = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t_start = time.monotonic()
@@ -463,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         provenance, outputs = args.func(args, cfg)
         if args.out:
             _write_manifest(
-                args, cfg, provenance, outputs, started_utc,
+                args, argv, cfg, provenance, outputs, started_utc,
                 time.monotonic() - t_start,
             )
         return EXIT_OK

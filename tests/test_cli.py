@@ -473,6 +473,57 @@ def test_bad_sample_cap_exits_2(synth_run, tmp_path, overrides, key, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["encoding.mode=thermometer", "encoding.thresholds=0"],
+         "encoding.thresholds"),
+        (["data.val_size=-1"], "data.val_size"),
+        (["model.layer_widths=16 15"], "model.layer_widths"),
+    ],
+)
+def test_config_that_cannot_train_exits_2(
+    synth_run, tmp_path, overrides, key, capsys
+):
+    ini, _ = synth_run
+    argv = ["train", "--config", str(ini), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_val_size_taking_every_training_file_sample_exits_2(tmp_path, capsys):
+    _tiny_mnist(tmp_path)  # 40 training-file samples
+    rc = main([
+        "train", "--out", str(tmp_path / "o"), "--quiet",
+        "--data", str(tmp_path), "--set", "data.val_size=40",
+        "--set", "encoding.thresholds=2", "--set", "model.layer_widths=10",
+    ])
+    assert rc == 2
+    assert "data.val_size=40" in capsys.readouterr().err
+
+
+def test_manifest_argv_is_the_argv_given_to_main(
+    synth_run, tmp_path, monkeypatch
+):
+    ini, out = synth_run
+    argv = [
+        "eval", "--config", str(ini),
+        "--checkpoint", str(out / "checkpoint.npz"), "--out", str(tmp_path),
+    ]
+    monkeypatch.setattr(sys, "argv", ["host-program", "--x"])
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+    # Without an argv, main reads the process's own arguments.
+    monkeypatch.setattr(sys, "argv", ["boolnet", *argv])
+    assert main() == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+
 # ------------------------------------------------------------ estimate-mem
 
 

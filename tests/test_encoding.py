@@ -120,41 +120,130 @@ def _sample_major_words_oracle(thresholds: np.ndarray, data) -> np.ndarray:
 _THRESHOLD_POOL = np.array(
     [-1e9, -5.0, -0.5, 0.0, 1.0, 2.5, 17.0, 127.5, 200.0, 255.0, 256.0, 1e9]
 )
+_INT_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64]
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-@pytest.mark.parametrize("T", [1, 3, 10])
-@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 1000])
-def test_encode_words_bit_equal_sample_major_formula(n, T, dtype):
-    rng = np.random.default_rng(n * 100 + T)
-    f = 6
-    thresholds = np.sort(rng.choice(_THRESHOLD_POOL, size=(f, T)), axis=1)
-    if dtype == np.uint8:
-        data = rng.integers(0, 256, size=(n, f)).astype(np.uint8)
-    else:
+def _threshold_pool(dtype) -> np.ndarray:
+    """The pool above plus NaN, and for integer dtypes thresholds at, just
+    inside and just beyond both ends of the dtype's range."""
+    extra = [np.nan]
+    if np.dtype(dtype).kind in "iu":
+        lo, hi = (float(v) for v in (np.iinfo(dtype).min, np.iinfo(dtype).max))
+        extra += [lo - 1, lo - 0.5, lo, lo + 0.5]
+        extra += [hi - 0.5, hi, hi + 0.5, hi + 1]
+    return np.concatenate([_THRESHOLD_POOL, extra])
+
+
+def _features(rng, dtype, n: int, f: int) -> np.ndarray:
+    if dtype == np.float64:
         pool = np.concatenate([_THRESHOLD_POOL, [np.nan, -np.inf, np.inf]])
-        data = np.where(
+        return np.where(
             rng.random((n, f)) < 0.5,
             rng.choice(pool, size=(n, f)),
             rng.normal(scale=100.0, size=(n, f)),
         )
+    if dtype == np.bool_:
+        return rng.random((n, f)) < 0.5
+    info = np.iinfo(dtype)
+    ends = np.array([info.min, info.min + 1, 0, 1, 17, info.max - 1, info.max])
+    return np.where(
+        rng.random((n, f)) < 0.5,
+        rng.choice(ends.astype(dtype), size=(n, f)),
+        rng.integers(info.min, info.max, size=(n, f), dtype=dtype,
+                     endpoint=True),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, *_INT_DTYPES, np.float64])
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize(
+    "n", [1, 7, 63, 64, 65, 130, 1000, 1023, 1024, 1025, 2049]
+)
+def test_encode_words_bit_equal_sample_major_formula(n, T, dtype):
+    rng = np.random.default_rng(n * 100 + T)
+    f = 6
+    pool = _threshold_pool(dtype)
+    thresholds = np.sort(rng.choice(pool, size=(f, T)), axis=1)
+    data = _features(rng, dtype, n, f)
     # Values exactly on a threshold, and one constant feature.
     hit = rng.random((n, f)) < 0.3
     on = thresholds[np.arange(f), rng.integers(0, T, size=f)]
-    if dtype == np.uint8:
-        on = np.clip(np.round(on), 0, 255)
+    if dtype == np.bool_:
+        lo, hi = 0, 1
+    elif dtype != np.float64:  # within int32, so int64 values stay exact
+        info = np.iinfo(dtype)
+        lo, hi = max(info.min, -(2**31)), min(info.max, 2**31 - 1)
+    if dtype != np.float64:
+        on = np.clip(np.nan_to_num(np.round(on)), lo, hi)
     data[hit] = np.broadcast_to(on, (n, f))[hit]
     data[:, 2] = data[0, 2]
-    enc = ThermometerEncoder(thresholds)
+    with np.errstate(invalid="ignore"):  # inf - inf in the order check
+        enc = ThermometerEncoder(thresholds)
     got = encode(enc, data)
     assert got.shape == (n, f * T)
     assert np.array_equal(
         got.to_signal_words(), _sample_major_words_oracle(thresholds, data)
     )
-    # Fortran order and a float32 copy of integer values encode the same.
+    # Fortran order and a float32 copy of small integers encode the same.
     assert encode(enc, np.asfortranarray(data)) == got
-    if dtype == np.uint8:
+    if dtype != np.float64 and np.can_cast(dtype, np.float32):
         assert encode(enc, data.astype(np.float32)) == got
+
+
+_FIT_KINDS = ["uint8", "uint16", "int8", "int16", "int64", "bool", "float",
+              "str"]
+
+
+def _fit_features(rng, kind: str, n: int, f: int = 5):
+    """Features of one kind; a narrow range in some columns gives ties."""
+    if kind == "bool":
+        return rng.random((n, f)) < 0.3
+    if kind in ("float", "str"):
+        x = rng.normal(scale=50.0, size=(n, f))
+        x[:, 1] = np.round(x[:, 1] / 20)
+        if kind == "str":
+            return x.astype(str)
+        for value, share in ((np.nan, 0.05), (np.inf, 0.1), (-np.inf, 0.1)):
+            x[:, 2:][rng.random((n, f - 2)) < share] = value
+        return x
+    info = np.iinfo(kind)
+    x = rng.integers(info.min, info.max, size=(n, f), dtype=kind,
+                     endpoint=True)
+    x[:, :2] = rng.integers(0, 4, size=(n, 2)) + info.max - 3
+    return x
+
+
+@pytest.mark.parametrize("kind", _FIT_KINDS)
+@pytest.mark.parametrize("T", [1, 3, 10])
+@pytest.mark.parametrize("n", [1, 2, 7, 3000])
+def test_fit_thresholds_bit_equal_float64_quantile(n, T, kind):
+    x = _fit_features(np.random.default_rng(n * 10 + T), kind, n)
+    levels = np.arange(1, T + 1) / (T + 1)
+    with np.errstate(invalid="ignore"):  # inf - inf when interpolating
+        want = np.quantile(np.asarray(x, np.float64), levels, axis=0).T
+        got = fit_thresholds(x, T).thresholds
+    assert got.dtype == np.float64
+    # Bit-equal, NaNs included, up to the sign of a zero: where a feature
+    # holds both -0.0 and 0.0 (column 1 of the float kinds), which of the
+    # equal values a sort or a partition puts at a rank is arbitrary, and
+    # no thermometer comparison can tell them apart.
+    assert np.array_equal((got + 0.0).view(np.uint64),
+                          (want + 0.0).view(np.uint64))
+
+
+def test_fit_thresholds_memory_stays_near_the_sorted_rows():
+    """No float64 copy of an integer split: fitting MNIST-sized uint8
+    features peaks at about the one sorted (features x samples) copy."""
+    data = np.random.default_rng(0).integers(
+        0, 256, size=(3000, 784), dtype=np.uint8
+    )
+    tracemalloc.start()
+    try:
+        fit_thresholds(data, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_encode_empty_input():
