@@ -29,7 +29,7 @@ class ThermometerEncoder:
         t = np.asarray(self.thresholds, dtype=np.float64)
         if t.ndim != 2:
             raise StructuralError("thresholds must be (num_features, T)")
-        if (np.diff(t, axis=1) < 0).any():
+        if (t[:, 1:] < t[:, :-1]).any():
             raise StructuralError("thresholds must be non-decreasing per feature")
         object.__setattr__(self, "thresholds", t)
 

@@ -8,13 +8,17 @@ the hardened argmax choice of a slot with non-degenerate weights is never
 disturbed. New indices are sampled outside the kept set: a collision
 would just duplicate a parameter.
 
-Gradient-guided sampling scores a whole layer per slice of input columns
-with one matrix product and keeps a running best-R set per slot, so extra
-memory is O((batch + S) * chunk) whatever the fan-in width I. A slice is
-merged into the best sets only for the slots with some score strictly
-below their current R-th best. A score equal to it comes from a higher
-index and loses the tie, so every other slot keeps its set unchanged.
-Later slices improve fewer slots, and the merge shrinks with them.
+Gradient-guided sampling keys a whole layer per slice of input columns
+with one matrix product, p = dy.T @ x. Where no summation order can round
+(_exact_slots) the score 2p - sum_b dy is exact and increasing in p, so p
+ranks and ties as the score does; other slots are keyed by the sequential
+oracle score. The first slice's R-th key sets each slot's threshold, and
+later slices only collect the (slot, index, key) entries strictly below
+it: a tie has a higher index than R entries already held, and loses. One
+stable sort by (slot, key, index) keeps each slot's best R, and lowers the
+thresholds, whenever the collected entries pass COLLECT_BYTES and once at
+the end. Extra memory is O((batch + S) * chunk + S * R) plus that bound,
+whatever the fan-in width I.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .model import LayerParams
 # a (batch + S) x chunk float64 array is BLOCK_BYTES; a few such are live.
 CHUNK = 1024
 BLOCK_BYTES = 4 << 20
+# A guided refresh reselects each slot's best R once the entries collected
+# since the last selection, 24 bytes each, pass this many bytes.
+COLLECT_BYTES = 1 << 20
 
 
 def sample_random(
@@ -78,9 +85,11 @@ def _guided_top_r(
     """(S, R) indices: for each column s of dy (B, S), the R most negative
     connection gradients outside kept[s], ordered by (score, index).
 
-    A slice is scored for all slots at once as 2 * dy.T @ x - sum_b dy;
-    slots that BLAS summation order could round differently are rescored
-    by connection_scores_chunk, so every score equals the oracle's.
+    A slice is keyed for all slots at once by the product p = dy.T @ x.
+    On _exact_slots the score 2p - sum_b dy is exact and increasing in p,
+    so p ranks and ties as the score does. Other slots are keyed by
+    connection_scores_chunk, the oracle itself. Keys are only compared
+    within a slot.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != I:
@@ -99,41 +108,49 @@ def _guided_top_r(
 
     ex_row, ex_idx = np.nonzero(k >= 0)[0], k[k >= 0]
     loose = np.flatnonzero(~_exact_slots(dy))
-    # Placeholders (+inf at index I) fill the best set until real columns
-    # displace them; at least R columns per slot score below +inf.
-    best_vals = np.full((S, R), np.inf)
-    best_idx = np.full((S, R), I, dtype=np.int64)
+    # Collected (slot, index, key) entries. Placeholders (+inf at index I)
+    # give every slot R entries; at least R columns per slot key below
+    # +inf, so real columns displace them all.
+    slot_of = np.repeat(np.arange(S), R)
+    parts = [(slot_of, np.full(S * R, I), np.full(S * R, np.inf))]
+    thr = np.full((S, 1), np.inf)
     for lo in range(0, I, chunk):
         hi = min(lo + chunk, I)
         xc = x[:, lo:hi].astype(np.float64)
-        block = 2.0 * (dy.T @ xc) - dy.sum(axis=0)[:, None]
+        block = dy.T @ xc
         if loose.size:
             block[loose] = connection_scores_chunk(xc, dy[:, loose])
         hit = (ex_idx >= lo) & (ex_idx < hi)
         block[ex_row[hit], ex_idx[hit] - lo] = np.inf
-        # Only slots with a score strictly below their R-th best can
-        # change: an equal score has a higher index and loses the tie.
-        rows = np.flatnonzero(
-            (block < best_vals.max(axis=1, keepdims=True)).any(axis=1)
-        )
-        if rows.size == 0:
+        take = block < thr
+        if lo == 0 and hi >= R:
+            # The first slice's R-th key sets each slot's threshold. Of
+            # the columns tied at it, the lowest indices complete the R.
+            thr = np.partition(block, R - 1, axis=1)[:, R - 1 : R]
+            take = block < thr
+            tie = block == thr
+            need = R - take.sum(axis=1, keepdims=True)
+            take |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need)
+        r, c = np.divmod(np.flatnonzero(take), hi - lo)
+        parts.append((r, c + lo, block[r, c]))
+        if 24 * sum(len(p[0]) for p in parts[1:]) <= COLLECT_BYTES and hi < I:
             continue
-        # Real entries of the best set stay in index order, left of the
-        # slice, so ties at the R-th score go to the lowest index.
-        block = block[rows]
-        vals = np.concatenate([best_vals[rows], block], axis=1)
-        idx = np.concatenate(
-            [best_idx[rows], np.broadcast_to(np.arange(lo, hi), block.shape)],
-            axis=1,
-        )
-        t = np.partition(vals, R - 1, axis=1)[:, R - 1 : R].copy()
-        less, tie = vals < t, vals == t
-        need = R - less.sum(axis=1, keepdims=True)
-        take = less | (tie & (np.cumsum(tie, axis=1) <= need))
-        best_vals[rows] = vals[take].reshape(-1, R)
-        best_idx[rows] = idx[take].reshape(-1, R)
-    order = np.lexsort((best_idx, best_vals), axis=1)
-    return np.take_along_axis(best_idx, order, axis=1)
+        # Keep each slot's best R by (key, index): complex numbers sort by
+        # (real, imag), here (slot, key), and a slot's entries follow its
+        # kept ones in index order. The kept ones are in (key, index) order
+        # with lower indices, bar the +inf placeholders that no collected
+        # key ties, so the stable sort breaks ties by index.
+        r, c, v = map(np.concatenate, zip(*parts))
+        parts.clear()  # free the parts before the sort
+        z = np.empty(r.size, dtype=np.complex128)
+        z.real, z.imag = r, v
+        del r, v
+        order = np.argsort(z, kind="stable")
+        first = np.searchsorted(z.real[order], np.arange(S))
+        pick = order[first[:, None] + np.arange(R)].reshape(-1)
+        parts = [(slot_of, c[pick], z.imag[pick])]
+        thr = z.imag[pick].reshape(S, R)[:, R - 1 :]
+    return parts[0][1].reshape(S, R)
 
 
 def sample_gradient_guided(

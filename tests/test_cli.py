@@ -216,8 +216,12 @@ def test_train_rerun_is_deterministic(synth_run, tmp_path, capsys):
 
 
 def test_train_rerun_in_fresh_processes_is_bit_identical(synth_run, tmp_path):
-    """Two `boolnet train` processes with one BLAS thread each write
-    checkpoints whose arrays are equal byte for byte."""
+    """`boolnet train` processes write checkpoints whose arrays are equal
+    byte for byte: two reruns with one BLAS thread each, with random and
+    with gradient-guided refresh, and a guided run with two BLAS threads.
+    The guided runs read 250 input bits into 64 gates. At that shape of
+    the refresh's score product (128 x 50 @ 50 x 250, float64), OpenBLAS
+    rounds some random products differently with one and two threads."""
     import boolnet
 
     ini, _ = synth_run
@@ -226,25 +230,37 @@ def test_train_rerun_in_fresh_processes_is_bit_identical(synth_run, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    arrays = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
+    guided = [
+        "--set", "train.sampling_mode=gradient_guided",
+        "--set", "data.synth_features=250", "--set", "model.layer_widths=64 8",
+    ]
+
+    def checkpoint(name, threads, args=()):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / name
         subprocess.run(
             [
                 sys.executable, "-m", "boolnet.cli", "train",
-                "--config", str(ini), "--out", str(out), "--quiet",
+                "--config", str(ini), "--out", str(out), "--quiet", *args,
             ],
             env=env, check=True, timeout=300,
         )
         with np.load(out / "checkpoint.npz") as data:
-            arrays.append({k: data[k] for k in data.files})
-    assert arrays[0].keys() == arrays[1].keys()
-    for k, a in arrays[0].items():
-        b = arrays[1][k]
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), k
-        assert a.tobytes() == b.tobytes(), k
+            return {k: data[k] for k in data.files}
+
+    guided_1 = checkpoint("guided", "1", guided)
+    for first, second in (
+        (checkpoint("a", "1"), checkpoint("b", "1")),
+        (guided_1, checkpoint("guided-again", "1", guided)),
+        (guided_1, checkpoint("guided-2-threads", "2", guided)),
+    ):
+        assert first.keys() == second.keys()
+        for k, a in first.items():
+            b = second[k]
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), k
+            assert a.tobytes() == b.tobytes(), k
 
 
 def test_quiet_flag_suppresses_progress(synth_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_rejects_bad_arguments():
         encode(enc, np.zeros((2, 5)))
     with pytest.raises(StructuralError):
         ThermometerEncoder(np.array([[2.0, 1.0]]))  # decreasing
+
+
+def test_infinite_thresholds_construct_without_warning():
+    """The order check compares neighbours, so it never computes inf - inf;
+    an inf before a smaller value is still out of order."""
+    t = np.array([[-np.inf, -np.inf, 0.0, np.inf, np.inf], [np.inf] * 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enc = ThermometerEncoder(t)
+    assert np.array_equal(enc.thresholds, t)
+    with pytest.raises(StructuralError):
+        ThermometerEncoder(np.array([[np.inf, -np.inf]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,8 +190,7 @@ def test_encode_words_bit_equal_sample_major_formula(n, T, dtype):
         on = np.clip(np.nan_to_num(np.round(on)), lo, hi)
     data[hit] = np.broadcast_to(on, (n, f))[hit]
     data[:, 2] = data[0, 2]
-    with np.errstate(invalid="ignore"):  # inf - inf in the order check
-        enc = ThermometerEncoder(thresholds)
+    enc = ThermometerEncoder(thresholds)
     got = encode(enc, data)
     assert got.shape == (n, f * T)
     assert np.array_equal(

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from boolnet import interconnect
 from boolnet.errors import StructuralError, UsageError
 from boolnet.interconnect import (
     GradientGuidedSampler,
@@ -359,6 +360,57 @@ def test_slice_that_improves_no_slot_is_not_merged(monkeypatch):
     got = _guided_top_r(R, 2 * chunk, x, dy, kept, chunk)
     assert got.tolist() == [[1, 4, 6]] * S
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("collect_bytes", [None, 1])
+@pytest.mark.parametrize("chunk", [1, 5, 10**6])
+def test_threshold_and_collect_matches_per_slot_oracle(
+    chunk, collect_bytes, monkeypatch
+):
+    """Small integer gradients over a few distinct columns (ties on most
+    keys), all-zero gradient slots that tie on every column, loose slots,
+    and exclusions with duplicates and out-of-range values: every slot
+    equals its own full argsort. A 1-byte bound runs the selection after
+    every slice that collects anything, not only once at the end."""
+    if collect_bytes is not None:
+        monkeypatch.setattr(interconnect, "COLLECT_BYTES", collect_bytes)
+    selections = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        selections.append(np.iscomplexobj(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    rng = np.random.default_rng(300 + chunk)
+    paths = set()
+    for trial in range(30):
+        B = int(rng.integers(1, 25))
+        S = int(rng.integers(1, 10))
+        R = int(rng.integers(1, 7))
+        I = int(rng.integers(R + 6, 90))
+        base = rng.integers(0, 2, size=(B, 5)).astype(np.uint8)
+        x = base[:, rng.integers(0, 5, size=I)]  # 5 distinct columns
+        if trial % 3 == 2:
+            dy = rng.normal(size=(B, S)) * np.exp(4 * rng.normal(size=(B, S)))
+        else:
+            dy = rng.integers(-2, 3, size=(B, S)).astype(np.float32)
+        dy[:, rng.random(S) < 0.3] = 0.0
+        kept = rng.integers(-3, I + 3, size=(S, 6))
+        kept[:, 1] = kept[:, 0]
+        paths.update(_exact_slots(dy.astype(np.float64)).tolist())
+        del selections[:]
+        got = _guided_top_r(R, I, x, dy, kept, chunk)
+        assert got.shape == (S, R)
+        for s in range(S):
+            want = _per_slot_oracle(R, x, dy[:, s], kept[s])
+            assert np.array_equal(got[s], want), (trial, s)
+        n_slices = -(-I // chunk)
+        if collect_bytes is None or n_slices == 1:
+            assert sum(selections) == 1
+        else:
+            assert sum(selections) > 1
+    assert paths == {True, False}
 
 
 def test_whole_layer_memory_does_not_grow_with_width():

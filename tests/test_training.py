@@ -18,6 +18,7 @@ from boolnet.training import (
     Phase,
     TrainConfig,
     _forward_arrays,
+    _scatter_slots,
     backward,
     build_phases,
     connection_gradient,
@@ -241,6 +242,52 @@ def test_slot_gradient_finite_differences():
             # there and relatively above.
             denom = max(abs(fd), abs(dx[b, i]), 1e-6)
             assert abs(fd - dx[b, i]) / denom < 1e-3
+
+
+def _scatter_oracle(dslot, sel, width):
+    """_scatter_slots' documented order, one signal at a time: slots a0,
+    a1, ... in slot order sum as a0 + (((-0.0 + a1) + a2) + ...) for up to
+    8 slots; more go to np.add.reduceat."""
+    batch = dslot.shape[0]
+    flat = dslot.reshape(batch, -1)
+    cols = sel.reshape(-1)
+    out = np.zeros((batch, width), dtype=dslot.dtype)
+    for col in np.unique(cols):
+        members = np.ascontiguousarray(flat[:, cols == col].T)
+        if len(members) > 8:
+            out[:, col] = np.add.reduceat(members, [0], axis=0)[0]
+            continue
+        tail = np.full(batch, -0.0, dtype=dslot.dtype)
+        for m in members[1:]:
+            tail = tail + m
+        out[:, col] = members[0] + tail
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_slots_bit_equals_documented_order(dtype):
+    """Signals read by 1 to 12 slots, values spread over 40 binary
+    exponents, and many +0.0 and -0.0 entries (a signal whose slots are
+    all -0.0 must get -0.0): equal bit for bit, unused signals zero."""
+    rng = np.random.default_rng(6)
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    for trial in range(40):
+        sizes = rng.permutation(np.tile(np.arange(1, 13), 2))
+        cols = np.repeat(2 * np.arange(sizes.size), sizes)  # odd ones unused
+        if cols.size % 2:
+            cols = np.append(cols, 2 * sizes.size)
+        sel = rng.permutation(cols).reshape(-1, 2)
+        batch = int(rng.integers(1, 9))
+        dslot = rng.normal(size=(batch,) + sel.shape)
+        dslot *= np.exp2(rng.integers(-20, 20, size=dslot.shape))
+        dslot = dslot.astype(dtype)
+        dslot[rng.random(dslot.shape) < 0.3] = 0.0
+        dslot[rng.random(dslot.shape) < 0.3] = -0.0
+        width = 2 * sizes.size + 3
+        got = _scatter_slots(dslot, sel, width)
+        want = _scatter_oracle(dslot, sel, width)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(uint), want.view(uint)), trial
 
 
 def test_frozen_tensors_get_zero_gradients():
