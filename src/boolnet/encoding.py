@@ -58,8 +58,9 @@ def fit_thresholds(train_data, T: int) -> ThermometerEncoder:
     rows = np.array(data.T, dtype=data.dtype if exact else np.float64)
     rows.sort(axis=1, kind="stable")  # radix sort for 8- and 16-bit ints
     levels = np.arange(1, T + 1) / (T + 1)
-    thresholds = np.quantile(rows, levels, axis=1, overwrite_input=True).T
-    return ThermometerEncoder(thresholds)
+    with np.errstate(invalid="ignore"):  # inf - inf when interpolating
+        thresholds = np.quantile(rows, levels, axis=1, overwrite_input=True)
+    return ThermometerEncoder(thresholds.T)
 
 
 def encode(encoder: ThermometerEncoder, data) -> BitMatrix:

@@ -433,23 +433,40 @@ def _pair_correlations(
 ) -> list[tuple[float, int, int]]:
     """Return (rho, i, j) for all i<j pairs with defined rho >= c.
 
-    Rows [lo, hi) pair only with columns lo: (the upper triangle), in
-    blocks whose AND temporary is about `block_bytes`."""
+    For counts n_i <= n_j, n_ij <= n_i bounds rho by
+    phi_from_counts(n, n_i, n_j, n_i), which falls as n_j grows; rho >= c
+    needs n_j <= n n_i / (n_i + c^2 (n - n_i)). With gates sorted by
+    count, each row's possible partners are therefore a band of columns
+    from its own. No pair is lost: in float64 the numerator is an exact
+    integer and the denominator does not depend on n_ij, so a computed
+    rho never exceeds its computed bound, and the band end has slack for
+    rounding. Rows go in blocks whose AND temporary is at most about
+    `block_bytes`, each block's columns ending at its widest band."""
+    order = np.argsort(ones, kind="stable")
+    words, ones = words[order], ones[order]
     g, w = words.shape
+    with np.errstate(invalid="ignore"):  # n = 0 gives NaN: the whole row
+        limit = n * ones / (ones + c * c * (n - ones))
+    end = np.searchsorted(ones, limit * (1 + 1e-9), side="right")
+    total = np.uint16 if n <= 0xFFFF else np.int64  # no count exceeds n
     block = max(1, block_bytes // max(1, g * w * 8))
     found = []
     for lo in range(0, g, block):
         hi = min(lo + block, g)
-        # popcount of pairwise ANDs: (block, G - lo, W) -> (block, G - lo)
+        e = end[lo:hi].max()
+        # popcount of pairwise ANDs: (block, e - lo, W) -> (block, e - lo)
         inter = np.bitwise_count(
-            words[lo:hi, None, :] & words[None, lo:, :]
-        ).sum(axis=2, dtype=np.int64)
-        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, lo:], inter)
+            words[lo:hi, None, :] & words[None, lo:e, :]
+        ).sum(axis=2, dtype=total)
+        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, lo:e], inter)
         ii, jj = np.nonzero(rho >= c)
         upper = ii < jj
         ii, jj = ii[upper], jj[upper]
+        a, b = order[ii + lo], order[jj + lo]  # back to layer indices
         found += zip(
-            rho[ii, jj].tolist(), (ii + lo).tolist(), (jj + lo).tolist()
+            rho[ii, jj].tolist(),
+            np.minimum(a, b).tolist(),
+            np.maximum(a, b).tolist(),
         )
     return found
 
@@ -463,7 +480,10 @@ def similarity_prune(
     greedy matching — each gate joins at most one merge per pass — and
     the higher-indexed gate's readers move to the lower-indexed one.
     Zero-variance gates are skipped; the final layer is left alone since
-    the head reads it positionally. Lossy for c < 1.
+    the head reads it positionally. Lossy for c < 1. Only pairs whose
+    activation counts allow rho >= c are popcounted, a band of the gates
+    sorted by count; no pair at or above c is lost, as a computed rho
+    never exceeds its computed count bound (see `_pair_correlations`).
     """
     if not 0 < c <= 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1], got {c}")

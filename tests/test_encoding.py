@@ -231,9 +231,9 @@ def _fit_features(rng, kind: str, n: int, f: int = 5):
 def test_fit_thresholds_bit_equal_float64_quantile(n, T, kind):
     x = _fit_features(np.random.default_rng(n * 10 + T), kind, n)
     levels = np.arange(1, T + 1) / (T + 1)
-    with np.errstate(invalid="ignore"):  # inf - inf when interpolating
+    with np.errstate(invalid="ignore"):  # the reference's inf - inf
         want = np.quantile(np.asarray(x, np.float64), levels, axis=0).T
-        got = fit_thresholds(x, T).thresholds
+    got = fit_thresholds(x, T).thresholds  # must not warn
     assert got.dtype == np.float64
     # Bit-equal, NaNs included, up to the sign of a zero: where a feature
     # holds both -0.0 and 0.0 (column 1 of the float kinds), which of the

@@ -626,6 +626,49 @@ def test_pair_correlations_equal_brute_force(rows):
     assert sorted(got) == sorted(want)
 
 
+@pytest.mark.parametrize("rows", [1, 4, 96])
+def test_banded_pair_search_equals_brute_force(rows):
+    rng = np.random.default_rng(11)
+    n = 300
+    # Nested gates with 6, 14, .., 294 ones: a pair's n_ij is its smaller
+    # count, so its rho equals the count bound that ends the band.
+    nested = rng.permutation(n)[:, None] < np.arange(6, 295, 8)
+    bits = np.hstack([
+        nested,
+        nested[:, 7:11],  # repeats; two of their rhos round to 1.0
+        nested[:, ::4] ^ (rng.random((n, 10)) < 0.05),
+        np.argsort(rng.random((12, n)), axis=1).T < 150,  # equal counts
+        np.repeat([[0, 0, 1, 1]], n, axis=0),  # constants: rho undefined
+    ]).astype(np.uint8)
+    bits = bits[:, rng.permutation(bits.shape[1])]
+    words = BitMatrix.from_array(bits).to_signal_words()
+    ones = bits.sum(axis=0).astype(np.int64)
+    s = np.sort(ones[(ones > 0) & (ones < n)])
+    bound = phi_from_counts(n, s[:, None], s, s[:, None])
+    bound = bound[np.triu_indices(len(s), 1)]
+    # A nested pair's rho. Its float band end, 61.99999999999998, falls
+    # short of the partner's 62 ones without the search's slack.
+    edge = float(phi_from_counts(n, 38, 62, 38))
+    block_bytes = rows * words.shape[0] * words.shape[1] * 8
+    for c, at_c in ((edge, 1), (1.0, 2), (0.5, 0)):
+        assert (bound < c).mean() > 0.4  # pairs the band leaves out
+        want = _brute_force_pairs(words, n, c)
+        assert sum(rho == c for rho, _, _ in want) >= at_c
+        got = _pair_correlations(words, ones, n, c, block_bytes)
+        assert sorted(got) == sorted(want)
+
+
+def test_pair_counts_past_uint16_are_exact():
+    # 65537 samples: two identical gates with one zero bit each share
+    # 65536 ones, one more than a 16-bit sum can hold.
+    n = 65537
+    bits = np.ones((n, 2), dtype=np.uint8)
+    bits[0] = 0
+    words = BitMatrix.from_array(bits).to_signal_words()
+    ones = np.array([n - 1, n - 1])
+    assert _pair_correlations(words, ones, n, 1.0) == [(1.0, 0, 1)]
+
+
 def test_similarity_memory_stays_small():
     rng = np.random.default_rng(10)
     circuit = _random_circuit(rng, 64, [1000, 1000, 10])
