@@ -17,15 +17,6 @@ from .errors import ConfigError
 from .training import TrainConfig
 
 
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.replace(",", " ").split()]
 

@@ -8,7 +8,9 @@ carved out of the official train split, never out of test.
 from __future__ import annotations
 
 import gzip
+import math
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,55 +85,80 @@ def _open_maybe_gz(path: str):
     raise IngestionError(f"missing dataset file: {path}[.gz]")
 
 
-def _read_idx(path: str, expect_magic: int) -> np.ndarray:
-    """Parse one big-endian IDX file (uint8 payloads only)."""
-    with _open_maybe_gz(path) as fh:
-        raw = fh.read()
-    if len(raw) < 4:
+def _idx_dims(fh, path: str, expect_magic: int) -> list[int]:
+    """Check a big-endian IDX header (uint8 payloads only) and return its
+    dimensions, leaving `fh` at the start of the payload."""
+    head = fh.read(4)
+    if len(head) < 4:
         raise IngestionError(f"truncated IDX header: {path}")
-    magic = int.from_bytes(raw[:4], "big")
+    magic = int.from_bytes(head, "big")
     if magic != expect_magic:
         raise IngestionError(
             f"bad IDX magic {magic:#010x} in {path}, "
             f"expected {expect_magic:#010x}"
         )
-    ndim = raw[3]
-    header = 4 + 4 * ndim
-    if len(raw) < header:
+    raw = fh.read(4 * head[3])
+    if len(raw) < 4 * head[3]:
         raise IngestionError(f"truncated IDX dimensions: {path}")
-    dims = [
-        int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big") for i in range(ndim)
-    ]
-    count = int(np.prod(dims))
-    body = np.frombuffer(raw, dtype=np.uint8, offset=header)
-    if body.size != count:
+    return list(struct.unpack(f">{head[3]}I", raw))
+
+
+def _empty_idx(shape: list[int], path: str) -> np.ndarray:
+    try:
+        return np.empty(shape, dtype=np.uint8)
+    except (MemoryError, ValueError):
+        raise IngestionError(f"IDX dims {shape} too large: {path}") from None
+
+
+def _idx_payload(fh, path: str, out: np.ndarray) -> None:
+    """Read the payload straight into `out`, which it must fill exactly."""
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view) and (n := fh.readinto(view[got:])):
+        got += n
+    if got != len(view) or fh.read(1):
         raise IngestionError(
-            f"IDX payload size {body.size} != header product {count}: {path}"
+            f"IDX payload size != header product {len(view)}: {path}"
         )
-    return body.reshape(dims)
+
+
+def _read_idx(path: str, expect_magic: int) -> np.ndarray:
+    with _open_maybe_gz(path) as fh:
+        out = _empty_idx(_idx_dims(fh, path, expect_magic), path)
+        _idx_payload(fh, path, out)
+    return out
 
 
 def load_mnist_idx(
     path: str | os.PathLike, val_size: int = VAL_SIZE, seed: int = 0
 ) -> Dataset:
-    """Load the four canonical IDX files (plain or .gz) from a directory."""
+    """Load the four canonical IDX files (plain or .gz) from a directory.
+
+    Both image payloads are read straight into one (N, F) feature array,
+    so no raw copy of either file is ever held."""
     path = os.fspath(path)
-    tri = _read_idx(os.path.join(path, MNIST_FILES["train_images"]), 0x803)
     trl = _read_idx(os.path.join(path, MNIST_FILES["train_labels"]), 0x801)
-    tei = _read_idx(os.path.join(path, MNIST_FILES["test_images"]), 0x803)
     tel = _read_idx(os.path.join(path, MNIST_FILES["test_labels"]), 0x801)
-    if len(tri) != len(trl) or len(tei) != len(tel):
-        raise IngestionError("image/label sample counts disagree")
-    features = np.concatenate(
-        [tri.reshape(len(tri), -1), tei.reshape(len(tei), -1)]
-    )
+    tr_path = os.path.join(path, MNIST_FILES["train_images"])
+    te_path = os.path.join(path, MNIST_FILES["test_images"])
+    with _open_maybe_gz(tr_path) as tr, _open_maybe_gz(te_path) as te:
+        tr_dims = _idx_dims(tr, tr_path, 0x803)
+        te_dims = _idx_dims(te, te_path, 0x803)
+        if tr_dims[0] != len(trl) or te_dims[0] != len(tel):
+            raise IngestionError("image/label sample counts disagree")
+        n_train, n_features = len(trl), math.prod(tr_dims[1:])
+        if math.prod(te_dims[1:]) != n_features:
+            raise IngestionError("train and test image sizes differ")
+        features = _empty_idx([n_train + len(tel), n_features], path)
+        _idx_payload(tr, tr_path, features[:n_train])
+        _idx_payload(te, te_path, features[n_train:])
     labels = np.concatenate([trl, tel]).astype(np.int64)
     if labels.max() > 9:
         raise IngestionError("MNIST label outside 0..9")
     return Dataset(
         features,
         labels,
-        _carve_val(len(tri), len(tei), val_size, seed),
+        _carve_val(n_train, len(tel), val_size, seed),
         num_classes=10,
         provenance=f"mnist-idx:{path}",
     )

@@ -5,6 +5,9 @@ merging of gates computing the same Boolean function over primary
 inputs), greedy (lossy constant replacement of near-constant gates), and
 similarity (lossy merging of highly correlated gates). The two lossy
 passes consume an ActivationProfile gathered on a profiling split.
+The last three only decide: which gates become constants and which gate
+stands in for which. Every pass then ends in the same rewrite
+(`_rewrite`) and one trivial sweep of the gates left unread.
 
 The classification head reads the final layer positionally, so merge
 passes never delete final-layer gates; constant rewrites there are still
@@ -192,11 +195,6 @@ class PruneReport:
         return rows
 
 
-def _reads_slot(layer: HardLayer) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks: does each gate's table actually read slot 0 / 1."""
-    return DEPENDS_A[layer.code], DEPENDS_B[layer.code]
-
-
 def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
     """Remove gates no downstream logic actually reads.
 
@@ -205,54 +203,71 @@ def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
     too. The final layer is the circuit's output and is never touched; a
     would-be-empty layer keeps its lowest-indexed gate as a placeholder.
     """
-    circuit = circuit.copy()
     n_layers = len(circuit.layers)
-    before = circuit.layer_widths
     keep: list[np.ndarray] = [None] * n_layers
     keep[n_layers - 1] = np.ones(circuit.layers[-1].n_gates, dtype=bool)
     for li in range(n_layers - 2, -1, -1):
         nxt = circuit.layers[li + 1]
-        reads0, reads1 = _reads_slot(nxt)
         kept_next = keep[li + 1]
         used = np.zeros(circuit.layers[li].n_gates, dtype=bool)
-        used[nxt.in0[kept_next & reads0]] = True
-        used[nxt.in1[kept_next & reads1]] = True
+        used[nxt.in0[kept_next & DEPENDS_A[nxt.code]]] = True
+        used[nxt.in1[kept_next & DEPENDS_B[nxt.code]]] = True
         if not used.any():
             used[0] = True
         keep[li] = used
 
-    report = PruneReport("trivial", before, [int(k.sum()) for k in keep])
+    report = PruneReport(
+        "trivial", circuit.layer_widths, [int(k.sum()) for k in keep]
+    )
     new_layers = []
-    prev_new_of_old = None
+    new_of_old = None  # previous layer: old gate -> new index, -1 if gone
     for li, layer in enumerate(circuit.layers):
         kept = keep[li]
-        old_of_new = np.flatnonzero(kept)
-        new_of_old = np.full(layer.n_gates, -1, dtype=np.int64)
-        new_of_old[old_of_new] = np.arange(old_of_new.size)
-        for gi in np.flatnonzero(~kept):
-            report.reroute[(li, int(gi))] = ("dropped", None)
-
-        in0 = layer.in0[kept].copy()
-        in1 = layer.in1[kept].copy()
-        code = layer.code[kept].copy()
-        if li > 0:
-            prev_map = prev_new_of_old  # filled on the previous iteration
-            reads0, reads1 = DEPENDS_A[code], DEPENDS_B[code]
-            in0 = prev_map[in0]
-            in1 = prev_map[in1]
+        for gi in np.flatnonzero(~kept).tolist():
+            report.reroute[(li, gi)] = ("dropped", None)
+        code, in0, in1 = layer.code[kept], layer.in0[kept], layer.in1[kept]
+        if new_of_old is not None:
+            in0, in1 = new_of_old[in0], new_of_old[in1]
             # Unread slots may point at removed gates; park them on 0.
-            in0[(in0 < 0) & ~reads0] = 0
-            in1[(in1 < 0) & ~reads1] = 0
+            in0[(in0 < 0) & ~DEPENDS_A[code]] = 0
+            in1[(in1 < 0) & ~DEPENDS_B[code]] = 0
             if (in0 < 0).any() or (in1 < 0).any():
                 raise StructuralError("kept gate reads a removed gate")
         new_layers.append(HardLayer(code=code, in0=in0, in1=in1))
-        prev_new_of_old = new_of_old
+        new_of_old = np.full(layer.n_gates, -1, dtype=np.int64)
+        new_of_old[kept] = np.arange(code.size)
 
     pruned = HardCircuit(
         circuit.input_width, new_layers, circuit.num_classes, circuit.tau
     )
     pruned.validate()
     return pruned, report
+
+
+def _rewrite(
+    circuit: HardCircuit, name: str, const: dict, rep: dict, reroute: dict
+) -> tuple[HardCircuit, PruneReport]:
+    """Turn a pass's verdicts into the smaller circuit and its report.
+
+    Per layer li, the gates in `const[li] = (gates, bits)` become literal
+    constant gates, and readers in layer li + 1 move to the survivor map
+    `rep[li]` (old gate -> gate that stands for it). One trivial sweep
+    follows; its drops join `reroute`, where the pass's own records win.
+    """
+    circuit = circuit.copy()
+    for li, layer in enumerate(circuit.layers):
+        if li - 1 in rep:
+            layer.in0[:] = rep[li - 1][layer.in0]
+            layer.in1[:] = rep[li - 1][layer.in1]
+        if li in const:
+            gates, bits = const[li]
+            layer.code[gates] = np.where(bits, CONST1, CONST0)
+            layer.in0[gates] = layer.in1[gates] = 0
+    pruned, swept = trivial_prune(circuit)
+    for key, val in swept.reroute.items():
+        reroute.setdefault(key, val)
+    before, after = circuit.layer_widths, pruned.layer_widths
+    return pruned, PruneReport(name, before, after, reroute)
 
 
 def _signature_inputs(width: int) -> BitMatrix:
@@ -271,29 +286,25 @@ def logic_equivalence_prune(
     Simulation proposes, cones prove. The circuit is evaluated once on
     fixed random inputs; equal functions give equal signature rows, so
     only gates that share a row, or whose row is all-0 or all-1, can
-    merge or be constant, and only those get exact cones. Per layer,
-    front to back, (support, table) is compared within a row's group,
-    the lowest-indexed member of each class is kept and readers of the
-    rest are rerouted to it. Gates with constant cones become literal
-    constant gates; their duplicates reroute to the lowest-indexed one.
-    Output bits are preserved on every input; a trivial pass then
-    reclaims dead gates.
+    merge or be constant, and only those get exact cones. Per layer, a
+    gate's class is its (signature group, cone) pair; the lowest-indexed
+    member of each class is kept and readers of the rest move to it.
+    Gates with constant cones become literal constant gates; their
+    duplicates reroute to the lowest-indexed one. Output bits are
+    preserved on every input; the shared rewrite's sweep then reclaims
+    dead gates.
     """
     signatures = eval_circuit_layers(
         circuit, _signature_inputs(circuit.input_width)
     )
-    original, circuit = circuit, circuit.copy()
-    before = circuit.layer_widths
+    const: dict = {}
+    rep: dict = {}
     reroute: dict = {}
-    n_layers = len(circuit.layers)
     memo: dict = {}
-
-    for li in range(n_layers):
-        layer = circuit.layers[li]
-        is_final = li == n_layers - 1
-        sig = signatures[li]
+    for li, sig in enumerate(signatures):
+        is_final = li == len(signatures) - 1
         proposed = ~sig.any(axis=1) | ~(~sig).any(axis=1)
-        group = np.zeros(layer.n_gates, dtype=np.int64)
+        group = np.zeros(len(sig), dtype=np.int64)
         if not is_final:  # the final layer only rewrites constants
             _, group, sizes = np.unique(
                 sig, axis=0, return_inverse=True, return_counts=True
@@ -301,50 +312,32 @@ def logic_equivalence_prune(
             group = group.ravel()
             proposed |= sizes[group] > 1
 
-        # Canonical representative per distinct function: exact cone
-        # comparison within each signature group, in index order.
-        classes: dict[int, list[int]] = {}
+        # The representative of a distinct function is its lowest-indexed
+        # gate: the first seen under its (signature group, cone) key.
+        first: dict = {}
         cones: dict[int, ConeFunction] = {}
-        rep_of = np.arange(layer.n_gates, dtype=np.int64)
+        rep_of = np.arange(len(sig), dtype=np.int64)
         for gi in np.flatnonzero(proposed).tolist():
-            cone = cones[gi] = _cone(original, li, gi, memo, limit)
-            members = classes.setdefault(int(group[gi]), [])
-            for other in members:
-                if cones[other] == cone:
-                    rep_of[gi] = other
-                    break
-            else:
-                members.append(gi)
+            cone = cones[gi] = _cone(circuit, li, gi, memo, limit)
+            rep_of[gi] = first.setdefault((int(group[gi]), cone), gi)
 
         # Constant cones become literal constant gates. In the final
         # layer every such gate is rewritten (none can be merged away);
         # elsewhere only class representatives need the normal form.
-        for gi, cone in cones.items():
-            if cone.is_constant and (rep_of[gi] == gi or is_final):
-                layer.code[gi] = CONST1 if cone.constant_value else CONST0
-                layer.in0[gi] = 0
-                layer.in1[gi] = 0
-
+        gates = [
+            gi for gi, cone in cones.items()
+            if cone.is_constant and (rep_of[gi] == gi or is_final)
+        ]
+        const[li] = (gates, [cones[gi].constant_value for gi in gates])
         if not is_final:
-            merged = np.flatnonzero(rep_of != np.arange(layer.n_gates))
-            for gi in merged.tolist():
-                cone = cones[gi]
-                reroute[(li, gi)] = (
-                    ("const", cone.constant_value)
-                    if cone.is_constant
-                    else ("gate", li, int(rep_of[gi]))
-                )
-            nxt = circuit.layers[li + 1]
-            nxt.in0[:] = rep_of[nxt.in0]
-            nxt.in1[:] = rep_of[nxt.in1]
-
-    pruned, trivial_report = trivial_prune(circuit)
-    for key, val in trivial_report.reroute.items():
-        reroute.setdefault(key, val)  # merge record beats "dropped"
-    report = PruneReport(
-        "logic-equivalence", before, pruned.layer_widths, reroute
-    )
-    return pruned, report
+            rep[li] = rep_of
+            for gi, cone in cones.items():
+                if rep_of[gi] != gi:
+                    reroute[(li, gi)] = (
+                        ("const", cone.constant_value) if cone.is_constant
+                        else ("gate", li, int(rep_of[gi]))
+                    )
+    return _rewrite(circuit, "logic-equivalence", const, rep, reroute)
 
 
 @dataclass
@@ -381,33 +374,26 @@ def greedy_prune(
     """Replace near-constant gates by constants.
 
     A gate whose majority activation frequency reaches the threshold is
-    rewritten to that constant; its former inputs become dead and a
-    trivial pass reclaims them. Lossy for threshold < 1; at 1.0 only
-    exactly-constant gates are touched, so profiling-set behavior is
-    unchanged.
+    rewritten to that constant; its former inputs become dead and the
+    shared rewrite's sweep reclaims them. Lossy for threshold < 1; at
+    1.0 only exactly-constant gates are touched, so profiling-set
+    behavior is unchanged.
     """
     if not 0.5 < threshold <= 1.0:
         raise ConfigError(f"greedy threshold must be in (0.5, 1.0], got {threshold}")
-    if profile.words[0].shape[0] != circuit.layers[0].n_gates:
+    if [len(w) for w in profile.words] != circuit.layer_widths:
         raise StructuralError("profile does not match circuit")
-    circuit = circuit.copy()
-    before = circuit.layer_widths
-    reroute: dict = {}
     n = profile.sample_count
-    for li, layer in enumerate(circuit.layers):
-        ones = profile.ones[li]
+    const: dict = {}
+    reroute: dict = {}
+    for li, ones in enumerate(profile.ones):
         hi = ones / n >= threshold
-        lo = (n - ones) / n >= threshold
-        for gi in np.flatnonzero(hi | lo):
-            bit = 1 if hi[gi] else 0
-            layer.code[gi] = CONST1 if bit else CONST0
-            layer.in0[gi] = 0
-            layer.in1[gi] = 0
-            reroute[(li, int(gi))] = ("const", bit)
-    pruned, trivial_report = trivial_prune(circuit)
-    for key, val in trivial_report.reroute.items():
-        reroute.setdefault(key, val)
-    return pruned, PruneReport("greedy", before, pruned.layer_widths, reroute)
+        gates = np.flatnonzero(hi | ((n - ones) / n >= threshold))
+        bits = hi[gates].astype(int)
+        const[li] = (gates, bits)
+        for gi, bit in zip(gates.tolist(), bits.tolist()):
+            reroute[(li, gi)] = ("const", bit)
+    return _rewrite(circuit, "greedy", const, {}, reroute)
 
 
 def phi_from_counts(n: int, ni, nj, nij):
@@ -487,32 +473,21 @@ def similarity_prune(
     """
     if not 0 < c <= 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1], got {c}")
-    if profile.words[0].shape[0] != circuit.layers[0].n_gates:
+    if [len(w) for w in profile.words] != circuit.layer_widths:
         raise StructuralError("profile does not match circuit")
-    circuit = circuit.copy()
-    before = circuit.layer_widths
-    reroute: dict = {}
     n = profile.sample_count
+    rep: dict = {}
+    reroute: dict = {}
     for li in range(len(circuit.layers) - 1):
-        layer = circuit.layers[li]
-        pairs = _pair_correlations(
-            profile.words[li], profile.ones[li], n, c
-        )
+        n_gates = circuit.layers[li].n_gates
+        pairs = _pair_correlations(profile.words[li], profile.ones[li], n, c)
         pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        used = np.zeros(layer.n_gates, dtype=bool)
-        mapping = np.arange(layer.n_gates, dtype=np.int64)
+        used = np.zeros(n_gates, dtype=bool)
+        rep[li] = np.arange(n_gates, dtype=np.int64)
         for rho, i, j in pairs:
             if used[i] or used[j]:
                 continue
             used[i] = used[j] = True
-            mapping[j] = i
+            rep[li][j] = i
             reroute[(li, j)] = ("gate", li, i)
-        nxt = circuit.layers[li + 1]
-        nxt.in0[:] = mapping[nxt.in0]
-        nxt.in1[:] = mapping[nxt.in1]
-    pruned, trivial_report = trivial_prune(circuit)
-    for key, val in trivial_report.reroute.items():
-        reroute.setdefault(key, val)
-    return pruned, PruneReport(
-        "similarity", before, pruned.layer_widths, reroute
-    )
+    return _rewrite(circuit, "similarity", {}, rep, reroute)

@@ -112,6 +112,39 @@ def test_mnist_truncated_payload(tmp_path):
         load_mnist_idx(tmp_path)
 
 
+def test_mnist_trailing_bytes(tmp_path):
+    _make_mnist_dir(tmp_path)
+    path = tmp_path / MNIST_FILES["test_images"]
+    path.write_bytes(path.read_bytes() + b"\x00" * 3)
+    with pytest.raises(IngestionError):
+        load_mnist_idx(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["train_images", "test_labels"])
+def test_mnist_truncated_dimensions(tmp_path, key):
+    _make_mnist_dir(tmp_path)
+    path = tmp_path / MNIST_FILES[key]
+    path.write_bytes(path.read_bytes()[:6])  # magic, half a dimension
+    with pytest.raises(IngestionError):
+        load_mnist_idx(tmp_path)
+
+
+def test_mnist_dimensions_too_large(tmp_path):
+    _make_mnist_dir(tmp_path)
+    _write_idx(tmp_path / MNIST_FILES["train_images"], (30, 2**31 - 1,
+               2**31 - 1), np.zeros(3, dtype=np.uint8), 0x803)
+    with pytest.raises(IngestionError):
+        load_mnist_idx(tmp_path)
+
+
+def test_mnist_train_and_test_image_sizes_differ(tmp_path):
+    _make_mnist_dir(tmp_path)
+    _write_idx(tmp_path / MNIST_FILES["test_images"], (10, 5, 6),
+               np.zeros(300, dtype=np.uint8), 0x803)
+    with pytest.raises(IngestionError):
+        load_mnist_idx(tmp_path)
+
+
 def test_mnist_count_mismatch(tmp_path):
     _make_mnist_dir(tmp_path)
     labels = np.zeros(31, dtype=np.uint8)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from boolnet.pruning import (
     similarity_prune,
     trivial_prune,
 )
+from boolnet.serialize import dump_netlist
 from boolnet.training import EncodedSplits, TrainConfig, train
 
 
@@ -733,3 +735,61 @@ def test_threshold_one_passes_keep_every_output_bit_on_profiling_set():
             assert np.array_equal(eval_circuit(pruned, bits).words, outputs)
             touched[name] += len(report.reroute)
     assert min(touched.values()) > 0, touched
+
+
+# ---------------------------------------------------------------- golden
+
+# SHA-256 of each pass's netlist and of its report (widths and sorted
+# reroute items) on the circuit of `test_four_pass_prune_golden`. A
+# change that means to alter pruned output updates these and says why.
+GOLDEN_PASSES = {
+    "trivial": (
+        "83b5e1d0597870272b250fbdb675240d67c580eace1982ad63399355d45215ec",
+        "56746a0ba1e50e27d68d91df9582024c7202150ba60ff7021deb738a2bdbd705",
+    ),
+    "logic-equivalence": (
+        "991c0b2cddccf0cc847753a56fec6f720c8b3c4c82ad8fa09332938266f92fb2",
+        "2b69d0a88e887973eb2ca7191ad05dde40646795238ed188a6a4d93ebda536d6",
+    ),
+    "greedy": (
+        "bfcd71a603468002874ae61dea42af4a9a933c9565e037d118bb250f64354e9d",
+        "c4f9f0207d12b05052b3fe72ae9ce81939efb1400a8da8f2a76124f3660477bd",
+    ),
+    "similarity": (
+        "ce6bda1f790143b43901d8ee5d64483857185002f0f215bb3436b9157d217c29",
+        "5990df3625ec98070aa3d05be8d9319ad6bd80c4fefd1be36506db5b44046a55",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_four_pass_prune_golden():
+    """trivial -> equivalence -> greedy 0.95 -> similarity 0.9 on a
+    fixed redundant circuit, profiled on bits whose second half is a
+    noisy copy of the first, so that every pass removes gates. Uses
+    fixed-seed generators, integer and correctly rounded float64 ops
+    only, so the digests should hold on any host."""
+    rng = np.random.default_rng(6)
+    circuit = _redundant_circuit(rng, 12, [64, 64, 64])
+    base = rng.random((700, 6)) < 0.3
+    noisy = base ^ (rng.random((700, 6)) < 0.02)
+    bits = BitMatrix.from_array(np.hstack([base, noisy]).astype(np.uint8))
+    steps = (
+        trivial_prune,
+        logic_equivalence_prune,
+        lambda c: greedy_prune(c, profile_activations(c, bits), 0.95),
+        lambda c: similarity_prune(c, profile_activations(c, bits), 0.9),
+    )
+    got = {}
+    for step in steps:
+        circuit, report = step(circuit)
+        assert report.removed > 0, report.pass_name
+        got[report.pass_name] = (
+            _sha256(dump_netlist(circuit)),
+            _sha256(repr((report.gates_before, report.gates_after,
+                          sorted(report.reroute.items())))),
+        )
+    assert got == GOLDEN_PASSES
