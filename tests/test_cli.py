@@ -8,6 +8,7 @@ subprocesses.
 import csv
 import dataclasses
 import datetime
+import hashlib
 import json
 import os
 import struct
@@ -30,7 +31,12 @@ from boolnet.config import (
 )
 from boolnet.data import MNIST_FILES, synth_boolean_task
 from boolnet.model import eval_circuit_layers, harden
-from boolnet.serialize import dump_netlist, load_checkpoint, save_netlist
+from boolnet.serialize import (
+    dump_netlist,
+    load_checkpoint,
+    save_checkpoint,
+    save_netlist,
+)
 from boolnet.model import random_network
 from boolnet.training import TrainConfig
 
@@ -418,6 +424,58 @@ def test_netlist_beats_checkpoint_without_hardening_it(
     ).split_arrays("test")
     acc = model_mod.accuracy(other, BitMatrix.from_array(x), y)
     assert printed.startswith(f"test accuracy {acc:.4f} ")
+
+
+GOLDEN_INI = """\
+[data]
+dataset = synth
+synth_kind = threshold-vote
+synth_features = 12
+synth_samples = 3000
+
+[encoding]
+mode = binary
+"""
+
+# SHA-256 of each output file of the CLI goldens below.
+CLI_GOLDEN = {
+    "pruned.netlist":
+        "e99fa0772eec00f8d09f60c101bce57c4752f35976edc817b1c35e0810831458",
+    "prune_report.csv":
+        "33902bd7b4f6acac6dbdbdc41a81a9a241e50e5fd556394bce27ece5d7c0fd2c",
+    "confusion.csv":
+        "c9e639aa6bece5202bb4f22a3391cc4111ce4ca4eecfdd60ac0d4fee8681b295",
+}
+
+
+def test_cli_prune_and_eval_goldens(tmp_path, capsys):
+    # A fixed random model (no training, so no float32 exp in the
+    # digests) whose four passes each remove gates, and whose two lossy
+    # passes move the reported accuracy. Final groups of 15 gates.
+    ini = tmp_path / "golden.ini"
+    ini.write_text(GOLDEN_INI)
+    ckpt = tmp_path / "golden.npz"
+    save_checkpoint(
+        ckpt, random_network(12, [64, 64, 30], 2, 4, seed=2, logit_scale=1.0)
+    )
+    common = ["--config", str(ini), "--checkpoint", str(ckpt)]
+    assert main([
+        "prune", *common, "--out", str(tmp_path / "prune"),
+        "--greedy-threshold", "0.8", "--similarity-c", "0.6",
+    ]) == 0
+    assert main(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    report = _read_csv(tmp_path / "prune" / "prune_report.csv")
+    assert all(int(r[3]) < int(r[2]) for r in report[1:] if r[1] == "1")
+    assert len({r[4] for r in report[1:]}) == 3
+    got = {
+        name: hashlib.sha256((tmp_path / sub / name).read_bytes()).hexdigest()
+        for sub, name in (
+            ("prune", "pruned.netlist"), ("prune", "prune_report.csv"),
+            ("eval", "confusion.csv"),
+        )
+    }
+    assert got == CLI_GOLDEN
 
 
 def test_eval_writes_confusion_matrix(synth_run, tmp_path, capsys):
