@@ -297,11 +297,13 @@ def cmd_prune(args, cfg) -> tuple[str, list[str]]:
             args, circuit, thresholds, cfg
         )
 
-    # One evaluation per pass boundary: the profile after each pass gives
-    # its accuracy and is what the next lossy pass consumes.
+    # After a pass, only the gates it affected are profiled again, and the
+    # accuracy is recounted only when a final-layer row changed.
     profile = None if bits is None else profile_activations(circuit, bits)
+    accuracy = None
     rows = []
     for name in passes:
+        before = circuit
         if name == "trivial":
             circuit, report = trivial_prune(circuit)
         elif name == "equivalence":
@@ -315,14 +317,16 @@ def cmd_prune(args, cfg) -> tuple[str, list[str]]:
                 circuit, profile, args.similarity_c
             )
         if bits is not None:
-            profile = profile_activations(circuit, bits)
-            logits = group_logits(
-                profile.words[-1], bits.n_samples, circuit.num_classes,
-                circuit.tau,
+            profile = profile_activations(
+                circuit, bits, (profile, before, report.kept)
             )
-            report.accuracy_after = float(
-                np.mean(np.argmax(logits, axis=1) == labels)
-            )
+            if accuracy is None or profile.changed[-1].any():
+                logits = group_logits(
+                    profile.words[-1], bits.n_samples, circuit.num_classes,
+                    circuit.tau,
+                )
+                accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+            report.accuracy_after = accuracy
         rows.extend(report.csv_rows())
         print(
             f"{name}: {sum(report.gates_before)} -> "

@@ -413,19 +413,36 @@ def group_logits(
 ) -> np.ndarray:
     """GroupSum head on the final layer's signal-major words: per sample,
     the count of set bits in each contiguous group of gates, / tau.
-    Returns (n_samples x num_classes) float64."""
+    Returns (n_samples x num_classes) float64. An adder tree adds each
+    group's first half of rows to its second half, a bit plane of packed
+    words at a time; an odd last row passes on. Only sum planes unpack."""
     width = words.shape[0]
     if width % num_classes != 0:
         raise StructuralError(
             f"activation width {width} not divisible by {num_classes} classes"
         )
-    bits = np.unpackbits(
-        words.view(np.uint8), axis=1, count=n_samples, bitorder="little"
+    planes = [words.reshape(num_classes, width // num_classes, words.shape[1])]
+    while planes[0].shape[1] > 1:
+        h, carry, summed = planes[0].shape[1] // 2, None, []
+        for plane in planes:
+            a, b = plane[:, :h], plane[:, h : 2 * h]
+            total = np.empty_like(plane[:, h:])
+            total[:, h:] = plane[:, 2 * h :]  # the odd last row, if any
+            s = np.bitwise_xor(a, b, out=total[:, :h])
+            c = a & b
+            if carry is not None:
+                c |= carry & s
+                s ^= carry
+            carry = c
+            summed.append(total)
+        planes = summed + [np.zeros_like(summed[0])]
+        planes[-1][:, :h] = carry
+    bits = np.unpackbits(  # (classes, planes, samples); no planes if G = 0
+        np.concatenate(planes, axis=1).view(np.uint8),
+        axis=-1, count=n_samples, bitorder="little",
     )
-    sums = bits.reshape(num_classes, width // num_classes, n_samples).sum(
-        axis=1, dtype=np.int32
-    )
-    return sums.T / float(tau)
+    weights = np.left_shift(1, np.arange(bits.shape[1]), dtype=np.int32)
+    return np.einsum("kpn,p->nk", bits, weights) / float(tau)
 
 
 def circuit_logits(circuit: HardCircuit, inputs: BitMatrix) -> np.ndarray:

@@ -29,6 +29,8 @@ from .model import (
     DEPENDS_B,
     HardCircuit,
     HardLayer,
+    _eval_layer_words,
+    _valid_words_mask,
     eval_circuit_layers,
     eval_code,
 )
@@ -169,11 +171,15 @@ def cone_of(
 class PruneReport:
     pass_name: str
     gates_before: list[int]
-    gates_after: list[int]
+    kept: list[np.ndarray]  # per layer, the old index of each survivor
     # (layer, old gate) -> ("gate", layer, survivor old-index)
     #                    | ("const", bit) | ("dropped", None)
     reroute: dict = field(default_factory=dict)
     accuracy_after: float | None = None
+
+    @property
+    def gates_after(self) -> list[int]:
+        return [k.size for k in self.kept]
 
     @property
     def removed(self) -> int:
@@ -217,7 +223,7 @@ def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
         keep[li] = used
 
     report = PruneReport(
-        "trivial", circuit.layer_widths, [int(k.sum()) for k in keep]
+        "trivial", circuit.layer_widths, [np.flatnonzero(k) for k in keep]
     )
     new_layers = []
     new_of_old = None  # previous layer: old gate -> new index, -1 if gone
@@ -266,8 +272,7 @@ def _rewrite(
     pruned, swept = trivial_prune(circuit)
     for key, val in swept.reroute.items():
         reroute.setdefault(key, val)
-    before, after = circuit.layer_widths, pruned.layer_widths
-    return pruned, PruneReport(name, before, after, reroute)
+    return pruned, PruneReport(name, circuit.layer_widths, swept.kept, reroute)
 
 
 def _signature_inputs(width: int) -> BitMatrix:
@@ -345,27 +350,57 @@ class ActivationProfile:
     """Per-gate activation statistics over a profiling set.
 
     `words[li]` is the signal-major (gates x words) activation matrix of
-    layer li from `eval_circuit_layers`, one row per gate across all
-    profiling samples, padding bits zero; `ones[li]` the corresponding
-    popcounts.
+    layer li, one row per gate across all profiling samples, padding bits
+    zero; `ones[li]` the corresponding popcounts. `changed[li]` marks the
+    rows that differ from the prior's (see `profile_activations`).
     """
 
     words: list[np.ndarray]
     ones: list[np.ndarray]
     sample_count: int
+    changed: list[np.ndarray]
 
     def frequency(self, layer: int, gate: int) -> float:
         return self.ones[layer][gate] / self.sample_count
 
 
 def profile_activations(
-    circuit: HardCircuit, data: BitMatrix
+    circuit: HardCircuit, data: BitMatrix, prior: tuple | None = None
 ) -> ActivationProfile:
-    words = eval_circuit_layers(circuit, data)
-    ones = [
-        np.bitwise_count(w).sum(axis=1).astype(np.int64) for w in words
-    ]
-    return ActivationProfile(words, ones, data.n_samples)
+    """Activations of every gate of `circuit` on `data`. With `prior =
+    (profile, old_circuit, kept)` from the pass that made `circuit`,
+    survivors take their old rows, and only gates whose table or read
+    inputs changed, or that read a changed row, are evaluated again; a row
+    equal to its old one is not changed, so the change stops spreading.
+    Without a prior every gate counts as changed."""
+    valid = _valid_words_mask(data.n_samples)
+    prev = data.to_signal_words()
+    prev_changed = np.zeros(circuit.input_width, dtype=bool)
+    layers = []
+    for li, lay in enumerate(circuit.layers):
+        redo = np.ones(lay.n_gates, dtype=bool)
+        rows = np.empty((lay.n_gates, valid.size), dtype=np.uint64)
+        ones = np.empty(lay.n_gates, dtype=np.int64)
+        if prior is not None:
+            k, was = prior[2][li], prior[1].layers[li]
+            rows, ones = prior[0].words[li][k], prior[0].ones[li][k]
+            src = prior[2][li - 1] if li else np.arange(circuit.input_width)
+            redo = (lay.code != was.code[k]) | DEPENDS_A[lay.code] & (
+                (src[lay.in0] != was.in0[k]) | prev_changed[lay.in0]
+            ) | DEPENDS_B[lay.code] & (
+                (src[lay.in1] != was.in1[k]) | prev_changed[lay.in1]
+            )
+        idx = np.flatnonzero(redo)
+        fresh = _eval_layer_words(
+            HardLayer(lay.code[idx], lay.in0[idx], lay.in1[idx]), prev, valid
+        )
+        if prior is not None:
+            redo[idx] = (fresh != rows[idx]).any(axis=1)
+        rows[idx], ones[idx] = fresh, np.bitwise_count(fresh).sum(axis=1)
+        layers.append((rows, ones, redo))
+        prev, prev_changed = rows, redo
+    words, ones, changed = map(list, zip(*layers))
+    return ActivationProfile(words, ones, data.n_samples, changed)
 
 
 def greedy_prune(

@@ -3,7 +3,6 @@ for trainable models (with optional encoder and run metadata)."""
 
 from __future__ import annotations
 
-import io
 import json
 import os
 
@@ -20,18 +19,17 @@ CHECKPOINT_VERSION = 1
 def dump_netlist(circuit: HardCircuit) -> str:
     """Render a circuit as versioned text: a header, then one line per
     gate reading "layer gate table_code in0 in1"."""
-    buf = io.StringIO()
-    buf.write(f"{NETLIST_MAGIC} v{NETLIST_VERSION}\n")
-    buf.write(f"input_width {circuit.input_width}\n")
-    buf.write(f"num_classes {circuit.num_classes}\n")
-    buf.write(f"tau {circuit.tau!r}\n")
-    buf.write("layers " + " ".join(str(w) for w in circuit.layer_widths) + "\n")
+    lines = [
+        f"{NETLIST_MAGIC} v{NETLIST_VERSION}\n",
+        f"input_width {circuit.input_width}\n",
+        f"num_classes {circuit.num_classes}\n",
+        f"tau {circuit.tau!r}\n",
+        "layers " + " ".join(str(w) for w in circuit.layer_widths) + "\n",
+    ]
     for li, lay in enumerate(circuit.layers):
-        for gi in range(lay.n_gates):
-            buf.write(
-                f"{li} {gi} {lay.code[gi]} {lay.in0[gi]} {lay.in1[gi]}\n"
-            )
-    return buf.getvalue()
+        gates = zip(lay.code.tolist(), lay.in0.tolist(), lay.in1.tolist())
+        lines += [f"{li} {g} {c} {a} {b}\n" for g, (c, a, b) in enumerate(gates)]
+    return "".join(lines)
 
 
 def parse_netlist(text: str) -> HardCircuit:
@@ -104,7 +102,8 @@ def save_checkpoint(
     thresholds: np.ndarray | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write model (and optional thermometer thresholds / metadata) as npz."""
+    """Write model (and optional thermometer thresholds / metadata) as npz,
+    uncompressed: loads skip zlib, for about twice the file size."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "input_width": model.input_width,
@@ -126,7 +125,7 @@ def save_checkpoint(
         arrays[f"conn_weights_{i}"] = lay.conn_weights
     if thresholds is not None:
         arrays["thresholds"] = np.asarray(thresholds)
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_checkpoint(

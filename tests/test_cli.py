@@ -349,13 +349,19 @@ def test_prune_evaluates_once_per_pass_boundary(
 ):
     ini, out = synth_run
     evaluated = []  # n_samples of every eval_circuit_layers call
+    kernel = []  # (gates, words) of every layer kernel call while profiling
 
     def counted(circuit, inputs):
         evaluated.append(inputs.n_samples)
         return eval_circuit_layers(circuit, inputs)
 
+    def counted_kernel(layer, words, valid):
+        kernel.append((layer.n_gates, valid.size))
+        return model_mod._eval_layer_words(layer, words, valid)
+
     monkeypatch.setattr(model_mod, "eval_circuit_layers", counted)
     monkeypatch.setattr(pruning, "eval_circuit_layers", counted)
+    monkeypatch.setattr(pruning, "_eval_layer_words", counted_kernel)
 
     def recording(fn, results):
         def wrapped(*args):
@@ -386,11 +392,15 @@ def test_prune_evaluates_once_per_pass_boundary(
     ])
     assert rc == 0
     bits, labels, _ = split[0]
-    # One profile before the first pass and one after each of the four;
-    # the equivalence pass adds one run on its random signature block.
-    assert evaluated.count(bits.n_samples) == 5
-    assert evaluated.count(64 * pruning.SIGNATURE_WORDS) == 1
-    assert len(evaluated) == 6
+    # The equivalence pass's signature block is the only whole-circuit
+    # evaluation. The split goes through the profile: every gate of the
+    # starting circuit once, then after the four passes together fewer
+    # gates than one more full evaluation would take.
+    assert evaluated == [64 * pruning.SIGNATURE_WORDS]
+    widths = harden(load_checkpoint(out / "checkpoint.npz")[0]).layer_widths
+    assert {w for _, w in kernel} == {-(-bits.n_samples // 64)}
+    assert [g for g, _ in kernel[: len(widths)]] == widths
+    assert sum(g for g, _ in kernel[len(widths) :]) < sum(widths)
     report = _read_csv(prune_dir / "prune_report.csv")
     for row in report[1:]:
         (pruned, _), = results[by_pass[row[0]]]

@@ -242,6 +242,26 @@ def test_group_logits_equal_int64_oracle(n, group):
     assert np.array_equal(full, bits.reshape(n, classes, group).sum(axis=2))
 
 
+@pytest.mark.parametrize("group", [1, 2, 3, 7, 15, 16, 17, 31, 33, 64, 65])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+def test_adder_tree_equals_unpacked_sums(n, group):
+    """Group sizes 1, odd and 2^k +- 1, every sample count around a word
+    edge, and densities 0, 1 and in between."""
+    classes = 3
+    for density in (0.0, 1.0, 0.5):
+        rng = np.random.default_rng(group * 100 + n)
+        bits = (rng.random((n, classes * group)) < density).astype(np.uint8)
+        words = BitMatrix.from_array(bits).to_signal_words()
+        got = group_logits(words, n, classes, 0.5)
+        want = bits.reshape(n, classes, group).sum(axis=2, dtype=np.int64)
+        assert got.shape == (n, classes) and got.dtype == np.float64
+        assert np.array_equal(got, want / 0.5)
+        if n:
+            assert np.array_equal(
+                got, _group_logits_oracle(words, n, classes, 0.5)
+            )
+
+
 def test_group_logits_rejects_ragged_width():
     with pytest.raises(StructuralError):
         group_logits(BitMatrix.zeros(1, 10).to_signal_words(), 1, 3, tau=1.0)

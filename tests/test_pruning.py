@@ -441,6 +441,73 @@ def test_profile_matches_dense_counts():
             assert profile.frequency(li, g) == dense[:, g].mean()
 
 
+PASSES = {
+    "trivial": lambda c, p: trivial_prune(c),
+    "equivalence": lambda c, p: logic_equivalence_prune(c),
+    "greedy": lambda c, p: greedy_prune(c, p, 0.9),
+    "similarity": lambda c, p: similarity_prune(c, p, 0.8),
+}
+
+
+@pytest.mark.parametrize("order", [
+    ("trivial", "trivial", "equivalence", "greedy", "similarity"),
+    ("greedy", "similarity", "equivalence", "greedy", "trivial"),
+    ("similarity", "greedy", "trivial", "similarity", "equivalence"),
+])
+@pytest.mark.parametrize("make", [_redundant_circuit, _random_circuit])
+def test_incremental_profile_equals_fresh_profile(make, order):
+    """After every pass, the profile built from the last one equals a
+    fresh profile bit for bit, and marks exactly the rows that differ
+    from the old row of the same gate."""
+    rng = np.random.default_rng(11)
+    circuit = make(rng, 12, [64, 64, 40])
+    base = rng.random((700, 6)) < 0.3
+    noisy = base ^ (rng.random((700, 6)) < 0.02)
+    bits = BitMatrix.from_array(np.hstack([base, noisy]).astype(np.uint8))
+    profile = profile_activations(circuit, bits)
+    assert all(c.all() for c in profile.changed)
+    seen = set()
+    for name in order:
+        pruned, report = PASSES[name](circuit, profile)
+        got = profile_activations(pruned, bits, (profile, circuit, report.kept))
+        fresh = profile_activations(pruned, bits)
+        for li, k in enumerate(report.kept):
+            assert np.array_equal(got.words[li], fresh.words[li])
+            assert np.array_equal(got.ones[li], fresh.ones[li])
+            assert got.ones[li].dtype == fresh.ones[li].dtype == np.int64
+            old = profile.words[li][k]
+            assert np.array_equal(
+                got.changed[li], (fresh.words[li] != old).any(axis=1)
+            )
+        last = len(pruned.layers) - 1
+        seen |= {
+            (kind, li == last) for (li, _), (kind, *_) in report.reroute.items()
+        }
+        if not any(c.any() for c in got.changed):
+            seen.add("no row changed")
+        circuit, profile = pruned, got
+    # The orders include a pass that changes no row, constants in the
+    # final layer, and merges in the hidden layers.
+    assert {"no row changed", ("const", True), ("gate", False)} <= seen
+
+
+def test_final_rows_change_only_when_outputs_do():
+    rng = np.random.default_rng(3)
+    circuit = _redundant_circuit(rng, 8, [32, 32, 16])
+    bits = _all_inputs(8)
+    profile = profile_activations(circuit, bits)
+    for step in (trivial_prune, logic_equivalence_prune):  # exact passes
+        pruned, report = step(circuit)
+        profile = profile_activations(
+            pruned, bits, (profile, circuit, report.kept)
+        )
+        assert not profile.changed[-1].any()
+        circuit = pruned
+    pruned, report = greedy_prune(circuit, profile, 0.6)
+    after = profile_activations(pruned, bits, (profile, circuit, report.kept))
+    assert after.changed[-1].any()
+
+
 # ----------------------------------------------------------------- greedy
 
 

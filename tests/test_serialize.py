@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,34 @@ def test_checkpoint_without_thresholds(tmp_path):
     back, thr, extra = load_checkpoint(path)
     assert thr is None and extra == {}
     assert np.array_equal(back.layers[0].candidates, model.layers[0].candidates)
+
+
+def test_compressed_checkpoint_still_loads(tmp_path):
+    """Checkpoints are written uncompressed; one written by
+    np.savez_compressed with the same keys loads to an identical model."""
+    model = random_network(5, [6, 4], 2, candidates_per_slot=2, seed=3, tau=4.0)
+    model.layers[1].frozen_interconnect = True
+    thresholds = np.array([[0.5, 1.5], [0.0, 2.0]])
+    plain = tmp_path / "plain.npz"
+    save_checkpoint(plain, model, thresholds, extra={"note": "hi"})
+    with np.load(plain) as data:
+        arrays = {key: data[key] for key in data.files}
+        assert all(  # stored, not deflated
+            info.compress_type == zipfile.ZIP_STORED
+            for info in zipfile.ZipFile(plain).infolist()
+        )
+    packed = tmp_path / "packed.npz"
+    np.savez_compressed(packed, **arrays)
+    back, thr, extra = load_checkpoint(packed)
+    assert (back.input_width, back.num_classes, back.tau) == (5, 2, 4.0)
+    assert extra == {"note": "hi"} and np.array_equal(thr, thresholds)
+    for l1, l2 in zip(model.layers, back.layers, strict=True):
+        for name in ("gate_logits", "candidates", "conn_weights"):
+            a, b = getattr(l1, name), getattr(l2, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (l1.frozen_interconnect, l1.frozen_gates) == (
+            l2.frozen_interconnect, l2.frozen_gates
+        )
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):
