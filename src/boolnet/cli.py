@@ -4,8 +4,8 @@ Every command that writes artifacts also writes a manifest.json capturing
 argv, the resolved configuration, seeds, and library versions, so a run
 can be reproduced from the manifest alone.
 
-Exit codes: 0 success, 2 configuration/usage problems, 3 dataset
-ingestion problems, 4 internal structural errors.
+Exit codes: 0 success, 2 configuration, usage or path problems, 3
+dataset ingestion problems, 4 internal structural errors.
 """
 
 from __future__ import annotations
@@ -188,6 +188,8 @@ def cmd_train(args, cfg) -> tuple[str, list[str]]:
     if not widths or widths[-1] % dataset.num_classes:
         raise ConfigError(f"model.layer_widths {widths} must end in a "
                           f"multiple of {dataset.num_classes} classes")
+    if not 0 <= cfg["model"]["logit_scale"] < np.inf:  # NaN fails too
+        raise ConfigError("model.logit_scale must be finite and >= 0")
     model = random_network(
         input_width,
         widths,
@@ -271,6 +273,11 @@ def _encoded_split_for_circuit(
         raise StructuralError(
             f"encoded width {bits.n_signals} != circuit input "
             f"{circuit.input_width}"
+        )
+    if labels.size and labels.max() >= circuit.num_classes:
+        raise ConfigError(
+            f"the {args.split} split has labels up to {labels.max()}, the "
+            f"circuit only {circuit.num_classes} classes"
         )
     return bits, labels, dataset.provenance
 
@@ -478,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
                 time.monotonic() - t_start,
             )
         return EXIT_OK
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, OSError) as exc:  # OSError: bad path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IngestionError as exc:

@@ -183,7 +183,7 @@ class RandomSampler:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def sample_many(self, R: int, I: int, kept: np.ndarray, slots=None):
+    def sample_many(self, R: int, I: int, kept: np.ndarray):
         n_slots = kept.shape[0]
         if I - kept.shape[1] < R:
             raise StructuralError(
@@ -191,19 +191,17 @@ class RandomSampler:
                 f"excluding {kept.shape[1]} kept"
             )
         out = self.rng.integers(0, I, size=(n_slots, R), dtype=np.int64)
-        for _ in range(100):
+        for attempt in range(101):
             srt = np.sort(out, axis=1)
             bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
             bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
             if not bad.any():
                 return out
-            out[bad] = self.rng.integers(
-                0, I, size=(int(bad.sum()), R), dtype=np.int64
-            )
+            if attempt < 100:
+                out[bad] = self.rng.integers(
+                    0, I, size=(int(bad.sum()), R), dtype=np.int64
+                )
         # Tiny pools can starve rejection sampling; finish slot by slot.
-        srt = np.sort(out, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
         for s in np.flatnonzero(bad):
             out[s] = sample_random(R, I, kept[s], self.rng)
         return out
@@ -220,12 +218,10 @@ class GradientGuidedSampler:
         self.x = np.asarray(x)
         self.dy = np.asarray(dy)
 
-    def sample_many(self, R: int, I: int, kept: np.ndarray, slots=None):
-        if slots is None:
-            raise UsageError("gradient-guided sampling needs slot identities")
-        g, j = np.asarray(slots, dtype=np.int64).reshape(-1, 2).T
-        chunk = max(1, BLOCK_BYTES // (8 * (self.dy.shape[0] + g.size)))
-        return _guided_top_r(R, I, self.x, self.dy[:, g, j], kept, chunk)
+    def sample_many(self, R: int, I: int, kept: np.ndarray):
+        dy = self.dy.reshape(self.dy.shape[0], -1)  # column 2g + j is (g, j)
+        chunk = max(1, BLOCK_BYTES // (8 * sum(dy.shape)))
+        return _guided_top_r(R, I, self.x, dy, kept, chunk)
 
 
 @dataclass
@@ -244,14 +240,13 @@ def refresh_candidates(
     R: int,
     fan_in_width: int,
 ) -> RefreshEvent:
-    """Replace each slot's R weakest candidates in place.
+    """Replace the R weakest candidates of every slot in place. The
+    sampler gets and returns one row per slot, row 2g + j for slot (g, j).
 
     Kept weights are untouched; each newcomer's weight is set to the
     minimum surviving weight of its slot (0 when R = C and nothing
     survives). Candidate distinctness within every slot is preserved.
     """
-    if layer.frozen_interconnect:
-        raise UsageError("refresh on a frozen interconnect")
     C = layer.n_candidates
     if not 0 <= R <= C:
         raise StructuralError(f"replacement budget {R} outside [0, {C}]")
@@ -275,9 +270,8 @@ def refresh_candidates(
         w_floor = np.zeros(G * 2, dtype=weights.dtype)
     kept_idx = cand[rows, kept_pos]
 
-    slots = np.stack(np.divmod(np.arange(G * 2), 2), axis=1)  # (2G, 2) ids
     old_idx = cand[rows, repl_pos].copy()
-    new_idx = sampler.sample_many(R, fan_in_width, kept_idx, slots)
+    new_idx = sampler.sample_many(R, fan_in_width, kept_idx)
 
     cand[rows, repl_pos] = new_idx.astype(cand.dtype)
     weights[rows, repl_pos] = w_floor[:, None]

@@ -81,8 +81,6 @@ class LayerParams:
     gate_logits: np.ndarray  # (G, 16) float32
     candidates: np.ndarray  # (G, 2, C) int32, indices into previous layer
     conn_weights: np.ndarray  # (G, 2, C) float32
-    frozen_interconnect: bool = False
-    frozen_gates: bool = False
 
     def __post_init__(self):
         self.gate_logits = _as_f32(self.gate_logits)
@@ -146,8 +144,6 @@ class LayerParams:
             self.gate_logits.copy(),
             self.candidates.copy(),
             self.conn_weights.copy(),
-            self.frozen_interconnect,
-            self.frozen_gates,
         )
 
 
@@ -182,9 +178,9 @@ class NetworkModel:
             raise StructuralError("model has no layers")
         if self.input_width <= 0:
             raise StructuralError("input_width must be positive")
-        if self.tau <= 0:
-            raise StructuralError("tau must be positive")
-        if self.output_width % self.num_classes != 0:
+        if not 0 < self.tau < np.inf:
+            raise StructuralError(f"need 0 < tau < inf, got {self.tau}")
+        if self.num_classes < 1 or self.output_width % self.num_classes:
             raise StructuralError(
                 f"final layer width {self.output_width} not divisible by "
                 f"{self.num_classes} classes"
@@ -316,7 +312,9 @@ class HardCircuit:
     def validate(self) -> None:
         if not self.layers:
             raise StructuralError("circuit has no layers")
-        if self.output_width % self.num_classes != 0:
+        if not 0 < self.tau < np.inf:
+            raise StructuralError(f"need 0 < tau < inf, got {self.tau}")
+        if self.num_classes < 1 or self.output_width % self.num_classes:
             raise StructuralError(
                 f"final layer width {self.output_width} not divisible by "
                 f"{self.num_classes} classes"

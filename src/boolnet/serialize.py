@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import json
 import os
+from zipfile import BadZipFile
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigError, StructuralError
 from .model import HardCircuit, HardLayer, LayerParams, NetworkModel
 
 NETLIST_MAGIC = "boolnet-netlist"
 NETLIST_VERSION = 1
 CHECKPOINT_VERSION = 1
+LAYER_ARRAYS = ("gate_logits", "candidates", "conn_weights")
 
 
 def dump_netlist(circuit: HardCircuit) -> str:
@@ -54,32 +56,33 @@ def parse_netlist(text: str) -> HardCircuit:
         num_classes = int(header["num_classes"])
         tau = float(header["tau"])
         widths = [int(w) for w in header["layers"].split()]
+        layers = [
+            HardLayer(
+                code=np.zeros(w, dtype=np.int32),
+                in0=np.zeros(w, dtype=np.int32),
+                in1=np.zeros(w, dtype=np.int32),
+            )
+            for w in widths
+        ]
     except (KeyError, ValueError) as exc:
         raise StructuralError(f"malformed netlist header: {exc}") from exc
-
-    layers = [
-        HardLayer(
-            code=np.zeros(w, dtype=np.int32),
-            in0=np.zeros(w, dtype=np.int32),
-            in1=np.zeros(w, dtype=np.int32),
-        )
-        for w in widths
-    ]
-    seen = 0
+    seen = set()
     for ln in lines[body_start:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise StructuralError(f"malformed gate record: {ln!r}")
-        li, gi, code, in0, in1 = (int(p) for p in parts)
+        try:
+            li, gi, code, in0, in1 = (int(p) for p in ln.split())
+        except ValueError as exc:
+            raise StructuralError(f"malformed gate record: {ln!r}") from exc
         if not (0 <= li < len(layers)) or not (0 <= gi < widths[li]):
             raise StructuralError(f"gate record out of range: {ln!r}")
+        if (li, gi) in seen:
+            raise StructuralError(f"gate {gi} of layer {li} listed twice")
+        seen.add((li, gi))
         layers[li].code[gi] = code
         layers[li].in0[gi] = in0
         layers[li].in1[gi] = in1
-        seen += 1
-    if seen != sum(widths):
+    if len(seen) != sum(widths):
         raise StructuralError(
-            f"netlist lists {seen} gates, header promises {sum(widths)}"
+            f"netlist lists {len(seen)} gates, header promises {sum(widths)}"
         )
     circuit = HardCircuit(input_width, layers, num_classes, tau)
     circuit.validate()
@@ -92,8 +95,14 @@ def save_netlist(path: str | os.PathLike, circuit: HardCircuit) -> None:
 
 
 def load_netlist(path: str | os.PathLike) -> HardCircuit:
-    with open(path) as fh:
-        return parse_netlist(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read netlist: {exc}") from exc
+    except ValueError as exc:  # not text
+        raise StructuralError(f"not a netlist: {path}") from exc
+    return parse_netlist(text)
 
 
 def save_checkpoint(
@@ -110,8 +119,6 @@ def save_checkpoint(
         "num_classes": model.num_classes,
         "tau": model.tau,
         "n_layers": len(model.layers),
-        "frozen_interconnect": [l.frozen_interconnect for l in model.layers],
-        "frozen_gates": [l.frozen_gates for l in model.layers],
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {
@@ -120,9 +127,8 @@ def save_checkpoint(
         )
     }
     for i, lay in enumerate(model.layers):
-        arrays[f"gate_logits_{i}"] = lay.gate_logits
-        arrays[f"candidates_{i}"] = lay.candidates
-        arrays[f"conn_weights_{i}"] = lay.conn_weights
+        for key in LAYER_ARRAYS:
+            arrays[f"{key}_{i}"] = getattr(lay, key)
     if thresholds is not None:
         arrays["thresholds"] = np.asarray(thresholds)
     np.savez(path, **arrays)
@@ -131,30 +137,30 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | os.PathLike,
 ) -> tuple[NetworkModel, np.ndarray | None, dict]:
-    """Inverse of save_checkpoint: (model, thresholds or None, extra)."""
-    with np.load(path) as data:
-        try:
+    """Inverse of save_checkpoint: (model, thresholds or None, extra).
+
+    A path that cannot be opened raises ConfigError, content that is not
+    a checkpoint StructuralError. Meta keys that are not read here, such
+    as the per-layer freezing flags older versions wrote, are ignored.
+    """
+    try:
+        with np.load(path) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        except (KeyError, ValueError) as exc:
-            raise StructuralError(f"malformed checkpoint: {exc}") from exc
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise StructuralError(
-                f"unsupported checkpoint version {meta.get('version')!r}"
-            )
-        layers = []
-        for i in range(meta["n_layers"]):
-            layers.append(
-                LayerParams(
-                    gate_logits=data[f"gate_logits_{i}"],
-                    candidates=data[f"candidates_{i}"],
-                    conn_weights=data[f"conn_weights_{i}"],
-                    frozen_interconnect=bool(meta["frozen_interconnect"][i]),
-                    frozen_gates=bool(meta["frozen_gates"][i]),
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise StructuralError(
+                    f"unsupported checkpoint version {meta['version']!r}"
                 )
+            layers = [
+                LayerParams(*(data[f"{key}_{i}"] for key in LAYER_ARRAYS))
+                for i in range(meta["n_layers"])
+            ]
+            thresholds = data["thresholds"] if "thresholds" in data else None
+            model = NetworkModel(
+                meta["input_width"], layers, meta["num_classes"], meta["tau"]
             )
-        thresholds = data["thresholds"] if "thresholds" in data else None
-        model = NetworkModel(
-            meta["input_width"], layers, meta["num_classes"], meta["tau"]
-        )
-    model.validate()
+            model.validate()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}") from exc
+    except (BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"malformed checkpoint {path}: {exc}") from exc
     return model, thresholds, meta.get("extra", {})

@@ -60,10 +60,11 @@ class TrainConfig:
             raise ConfigError(f"need 0 < R <= C, got R={self.R}, C={self.C}")
         if self.beta < 1:
             raise ConfigError("beta must be >= 1")
-        if not 0 < self.lr_final <= self.lr_init:
-            raise ConfigError("need 0 < lr_final <= lr_init")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        # Written so that NaN fails each comparison.
+        if not 0 < self.lr_final <= self.lr_init < np.inf:
+            raise ConfigError("need 0 < lr_final <= lr_init < inf")
+        if not 0 < self.tau < np.inf:
+            raise ConfigError(f"need 0 < tau < inf, got {self.tau}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if min(self.total_epochs, self.finetune_epochs) < 0:
@@ -227,9 +228,11 @@ def _scatter_slots(
 
 
 def backward(
-    model: NetworkModel, cache: ForwardCache, labels: np.ndarray
+    model: NetworkModel, cache: ForwardCache, labels: np.ndarray,
+    phase: Phase | None = None,
 ) -> BatchGradients:
-    """Gradients of mean softmax cross-entropy on the group logits."""
+    """Gradients of mean softmax cross-entropy on the group logits. Given
+    a training `phase`, the tensors it keeps fixed get zero gradients."""
     if cache is None:
         raise UsageError("backward needs a forward cache")
     labels = np.asarray(labels)
@@ -269,7 +272,7 @@ def backward(
         t_b = (dy * b).sum(axis=0)
         t_ab = (dya * b).sum(axis=0)
 
-        if layer.frozen_gates:
+        if phase is not None and not phase.trainable_gates[li]:
             dl = np.zeros_like(layer.gate_logits)
         else:
             s = np.stack(
@@ -297,7 +300,7 @@ def backward(
             dslot[:, :, j] = t
         del t, a, b  # free before connection_gradient, the step's peak
 
-        if layer.frozen_interconnect:
+        if phase is not None and phase.active_interconnect != li:
             dc = np.zeros_like(layer.conn_weights)
         else:
             dc = connection_gradient(
@@ -337,8 +340,8 @@ class Adam:
         self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         lr: float,
     ) -> None:
-        for key, g in grads.items():
-            p = params[key]
+        for key, p in params.items():
+            g = grads[key]
             if key not in self.m:
                 self.m[key] = np.zeros_like(p, dtype=np.float32)
                 self.v[key] = np.zeros_like(p, dtype=np.float32)
@@ -388,8 +391,11 @@ class Phase:
 
 def build_phases(config: TrainConfig, n_layers: int) -> list[Phase]:
     """Layer-wise protocol: floor(E/L) epochs per learnable layer with only
-    that layer's interconnect unfrozen and already-visited layers' gates
-    frozen; then a fine-tune pass training all gates, interconnects fixed."""
+    that layer's interconnect learned and already-visited layers' gates
+    fixed; then a fine-tune pass training all gates, interconnects fixed.
+    The phases are the only record of what is fixed: `train` takes its
+    optimized tensors and refreshed layer from them, `backward` zeroes
+    the gradients of the rest. A model holds no training state."""
     if config.interconnect_mode == "fixed":
         total = config.total_epochs + config.finetune_epochs
         return [Phase("finetune", total, None, (True,) * n_layers)]
@@ -450,12 +456,6 @@ def evaluate_arrays(
     return accuracy, cross_entropy(logits, y)
 
 
-def _set_freezing(model: NetworkModel, phase: Phase) -> None:
-    for i, layer in enumerate(model.layers):
-        layer.frozen_gates = not phase.trainable_gates[i]
-        layer.frozen_interconnect = phase.active_interconnect != i
-
-
 def train(
     model: NetworkModel,
     splits: EncodedSplits,
@@ -490,13 +490,12 @@ def train(
     for phase in phases:
         if stop or phase.epochs == 0:
             continue
-        _set_freezing(model, phase)
         optimizer = Adam()
         params: dict[str, np.ndarray] = {}
         for i, layer in enumerate(model.layers):
-            if not layer.frozen_gates:
+            if phase.trainable_gates[i]:
                 params[f"L{i}.gate_logits"] = layer.gate_logits
-            if not layer.frozen_interconnect:
+            if phase.active_interconnect == i:
                 params[f"L{i}.conn_weights"] = layer.conn_weights
         phase_steps = phase.epochs * steps_per_epoch
         phase_step = 0
@@ -511,7 +510,7 @@ def train(
                 xb = splits.train_x[idx]
                 yb = splits.train_y[idx]
                 cache = _forward_arrays(model, xb)
-                grads = backward(model, cache, yb)
+                grads = backward(model, cache, yb, phase)
 
                 pred = np.argmax(cache.logits, axis=1)
                 hits += int((pred == yb).sum())
@@ -522,11 +521,9 @@ def train(
                     phase_step, phase_steps, config.lr_init, config.lr_final
                 )
                 gdict = {}
-                for i, layer in enumerate(model.layers):
-                    if not layer.frozen_gates:
-                        gdict[f"L{i}.gate_logits"] = grads.d_logits[i]
-                    if not layer.frozen_interconnect:
-                        gdict[f"L{i}.conn_weights"] = grads.d_conn[i]
+                for i in range(len(model.layers)):
+                    gdict[f"L{i}.gate_logits"] = grads.d_logits[i]
+                    gdict[f"L{i}.conn_weights"] = grads.d_conn[i]
                 optimizer.step(params, gdict, lr)
                 phase_step += 1
                 global_step += 1
@@ -573,9 +570,4 @@ def train(
             ):
                 stop = True
                 break
-
-    # Leave the model in a plain state: nothing frozen.
-    for layer in model.layers:
-        layer.frozen_gates = False
-        layer.frozen_interconnect = False
     return model, metrics

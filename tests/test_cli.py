@@ -578,6 +578,25 @@ def test_config_that_cannot_train_exits_2(
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["train.tau=nan", "train.tau=inf", "train.lr_init=inf",
+     "model.logit_scale=nan", "model.logit_scale=inf",
+     "model.logit_scale=-1"],
+)
+def test_non_finite_or_negative_config_value_exits_2(
+    synth_run, tmp_path, override, capsys
+):
+    ini, _ = synth_run
+    argv = ["train", "--config", str(ini), "--out", str(tmp_path / "o"),
+            "--quiet", "--set", "model.layer_widths=8 4",
+            "--set", "train.total_epochs=1", "--set", "train.c=2",
+            "--set", override]
+    assert main(argv) == 2
+    key = override.split("=")[0].split(".")[1]
+    assert key in capsys.readouterr().err
+
+
 def test_val_size_taking_every_training_file_sample_exits_2(tmp_path, capsys):
     _tiny_mnist(tmp_path)  # 40 training-file samples
     rc = main([
@@ -685,6 +704,58 @@ def test_foreign_checkpoint_exits_4(synth_run, tmp_path, capsys):
     assert rc == 4
 
 
+def _broken_checkpoint(out, tmp_path, case):
+    """A copy of the synth checkpoint spoiled one way."""
+    bad = tmp_path / "bad.npz"
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = {key: data[key] for key in data.files}
+    if case == "text":
+        bad.write_text("boolnet-netlist v1\n")
+        return bad
+    if case == "no conn_weights_1":
+        del arrays["conn_weights_1"]
+    else:  # no n_layers
+        meta = json.loads(bytes(arrays["meta_json"]))
+        del meta["n_layers"]
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(bad, **arrays)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "case", ["text", "no conn_weights_1", "no n_layers"]
+)
+def test_malformed_checkpoint_exits_4(synth_run, tmp_path, case, capsys):
+    ini, out = synth_run
+    rc = main([
+        "eval", "--config", str(ini), "--split", "test",
+        "--checkpoint", str(_broken_checkpoint(out, tmp_path, case)),
+    ])
+    assert rc == 4
+    assert "malformed checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--netlist"])
+def test_missing_artifact_exits_2(synth_run, tmp_path, flag, capsys):
+    ini, _ = synth_run
+    missing = tmp_path / "does-not-exist"
+    rc = main(["eval", "--config", str(ini), flag, str(missing)])
+    assert rc == 2
+    assert "does-not-exist" in capsys.readouterr().err
+
+
+def test_prune_out_naming_a_file_exits_2(synth_run, tmp_path, capsys):
+    ini, out = synth_run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main([
+        "prune", "--config", str(ini), "--passes", "trivial",
+        "--checkpoint", str(out / "checkpoint.npz"), "--out", str(taken),
+    ])
+    assert rc == 2
+    assert "taken" in capsys.readouterr().err
+
+
 def test_width_mismatch_exits_4(synth_run, tmp_path, capsys):
     ini, _ = synth_run
     other = harden(random_network(12, [4, 4], 2, 4, seed=0))
@@ -734,6 +805,25 @@ def _tiny_mnist(tmp_path):
             struct.pack(">i", d) for d in dims
         )
         (tmp_path / MNIST_FILES[key]).write_bytes(header + payload.tobytes())
+
+
+@pytest.mark.parametrize("command", ["eval", "prune"])
+def test_fewer_classes_than_labels_exits_2(tmp_path, command, capsys):
+    """A 2-class checkpoint on 10-class MNIST-format files: eval must not
+    crash in the confusion matrix, and prune must not report accuracies
+    of a circuit that cannot name most labels."""
+    _tiny_mnist(tmp_path)  # 5 x 5 images, labels 0..9
+    ck = tmp_path / "two.npz"
+    save_checkpoint(
+        ck, random_network(25, [16, 4], 2, 4, seed=0),
+        thresholds=np.full((25, 1), 127.5),
+    )
+    rc = main([
+        command, "--checkpoint", str(ck), "--data", str(tmp_path),
+        "--set", "data.val_size=8", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "2 classes" in capsys.readouterr().err
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch):

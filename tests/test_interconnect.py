@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boolnet import interconnect
-from boolnet.errors import StructuralError, UsageError
+from boolnet.errors import StructuralError
 from boolnet.interconnect import (
     GradientGuidedSampler,
     RandomSampler,
@@ -98,15 +98,6 @@ def test_refresh_keeps_candidates_distinct():
             layer, RandomSampler(rng), R=2, fan_in_width=9
         )
         layer.validate(fan_in_width=9)
-
-
-def test_refresh_frozen_interconnect_rejected():
-    layer = _one_slot_layer([0, 1], [1.0, 2.0])
-    layer.frozen_interconnect = True
-    with pytest.raises(UsageError):
-        refresh_candidates(
-            layer, RandomSampler(np.random.default_rng(0)), 1, 10
-        )
 
 
 def test_refresh_budget_out_of_range():
@@ -257,14 +248,14 @@ def test_gradient_guided_sampler_slot_lookup():
     x = rng.integers(0, 2, size=(5, 20)).astype(np.float64)
     dy = rng.normal(size=(5, 3, 2))
     sampler = GradientGuidedSampler(x, dy)
-    kept = np.array([[0, 1], [2, 3], [4, 5]])
-    out = sampler.sample_many(2, 20, kept, slots=[(0, 0), (1, 1), (2, 0)])
-    for row, (g, j) in zip(out, [(0, 0), (1, 1), (2, 0)]):
-        want = sample_gradient_guided(2, 20, x, dy[:, g, j],
-                                      exclude=kept[[0, 1, 2][g]])
-        assert np.array_equal(row, want)
-    with pytest.raises(UsageError):
-        sampler.sample_many(2, 20, kept)  # slots are required
+    kept = np.arange(12).reshape(6, 2)  # row 2g + j is slot (g, j)
+    out = sampler.sample_many(2, 20, kept)
+    assert out.shape == (6, 2)
+    for g in range(3):
+        for j in range(2):
+            want = sample_gradient_guided(2, 20, x, dy[:, g, j],
+                                          exclude=kept[2 * g + j])
+            assert np.array_equal(out[2 * g + j], want)
 
 
 def _per_slot_oracle(R, x, dy_slot, kept_row):
@@ -423,11 +414,10 @@ def test_whole_layer_memory_does_not_grow_with_width():
         x = rng.integers(0, 2, size=(B, I)).astype(np.uint8)
         dy = rng.normal(size=(B, S // 2, 2)).astype(np.float32)
         kept = rng.integers(0, I, size=(S, 4))
-        slots = [(s // 2, s % 2) for s in range(S)]
         sampler = GradientGuidedSampler(x, dy)
-        sampler.sample_many(R, I, kept, slots)  # warm allocator paths
+        sampler.sample_many(R, I, kept)  # warm allocator paths
         tracemalloc.start()
-        sampler.sample_many(R, I, kept, slots)
+        sampler.sample_many(R, I, kept)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks.append(peak)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,23 @@ def test_memory_ratio_property(G, I, C, k):
     assert est.ratio == pytest.approx(2 * C / I)
 
 
+def test_layer_params_bytes_do_not_depend_on_input_width():
+    """The paper's scaling claim, exact on the stored type: a layer's
+    parameters are its gate logits plus C (index, score) pairs per slot,
+    whatever the fan-in width I."""
+    G, C = 8, 4
+    for I in (64, 4096, 262144):
+        (layer,) = random_network(I, [G], 2, C, seed=0).layers
+        nbytes = sum(
+            getattr(layer, f.name).nbytes for f in dataclasses.fields(layer)
+        )
+        candidate_part = layer.candidates.nbytes + layer.conn_weights.nbytes
+        assert nbytes == 16 * 4 * G + 2 * (2 * G * C * 4)
+        assert estimate_interconnect_memory(G, I, C=C).bytes_sparse == (
+            candidate_part
+        )
+
+
 def test_memory_rejects_nonpositive():
     with pytest.raises(StructuralError):
         estimate_interconnect_memory(0, 10)
@@ -339,6 +358,17 @@ def test_validate_catches_bad_shapes_and_ranges():
     )
     with pytest.raises(StructuralError):
         dup.validate(fan_in_width=4)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+def test_validate_requires_positive_finite_tau(tau):
+    model = random_network(4, [4], 2, candidates_per_slot=2, seed=0)
+    circuit = harden(model)
+    model.tau = circuit.tau = tau
+    with pytest.raises(StructuralError, match="tau"):
+        model.validate()
+    with pytest.raises(StructuralError, match="tau"):
+        circuit.validate()
 
 
 def test_model_validate_group_divisibility():

@@ -1,9 +1,10 @@
+import json
 import zipfile
 
 import numpy as np
 import pytest
 
-from boolnet.errors import StructuralError
+from boolnet.errors import ConfigError, StructuralError
 from boolnet.model import HardCircuit, HardLayer, harden, random_network
 from boolnet.serialize import (
     dump_netlist,
@@ -81,6 +82,50 @@ def test_netlist_rejects_malformed_records():
         parse_netlist("\n".join(lines))
 
 
+def test_netlist_rejects_repeated_gate_record():
+    """Listing gate 0 twice and gate 1 never must not leave gate 1 as an
+    all-zero record."""
+    lines = dump_netlist(_toy_circuit()).splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("0 0 "))
+    assert lines[first + 1].startswith("0 1 ")
+    lines[first + 1] = lines[first]
+    with pytest.raises(StructuralError, match="twice"):
+        parse_netlist("\n".join(lines))
+
+
+def test_netlist_rejects_non_integer_field():
+    lines = dump_netlist(_toy_circuit()).splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " x"
+    with pytest.raises(StructuralError, match="malformed gate record"):
+        parse_netlist("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["tau nan", "tau -1.0", "tau 0.0", "tau inf", "num_classes 0",
+     "layers -8 4"],
+)
+def test_netlist_rejects_bad_header_value(line):
+    key = line.split()[0]
+    good = {"tau": "tau 7.5", "num_classes": "num_classes 2",
+            "layers": "layers 8 4"}[key]
+    text = dump_netlist(_toy_circuit()).replace(good + "\n", line + "\n")
+    assert line + "\n" in text
+    with pytest.raises(StructuralError):
+        parse_netlist(text)
+
+
+def test_load_netlist_unopenable_path_and_binary_content(tmp_path):
+    with pytest.raises(ConfigError):
+        load_netlist(tmp_path / "missing.netlist")
+    with pytest.raises(ConfigError):
+        load_netlist(tmp_path)  # a directory
+    binary = tmp_path / "bin.netlist"
+    binary.write_bytes(bytes(range(128, 256)))
+    with pytest.raises(StructuralError):
+        load_netlist(binary)
+
+
 def test_netlist_rejects_out_of_range_fanin():
     lay = HardLayer(code=[6, 6], in0=[0, 3], in1=[1, 1])  # in0=3 with width 2
     text = dump_netlist(HardCircuit(2, [lay], 2, tau=1.0))
@@ -90,14 +135,12 @@ def test_netlist_rejects_out_of_range_fanin():
 
 def test_checkpoint_round_trip(tmp_path):
     model = random_network(5, [6, 4], 2, candidates_per_slot=2, seed=3, tau=4.0)
-    model.layers[0].frozen_gates = True
     thresholds = np.array([[0.5, 1.5], [0.0, 2.0]])
     path = tmp_path / "model.npz"
     save_checkpoint(path, model, thresholds, extra={"note": "hello"})
     back, thr, extra = load_checkpoint(path)
     assert back.input_width == 5 and back.num_classes == 2
     assert back.tau == model.tau
-    assert back.layers[0].frozen_gates and not back.layers[1].frozen_gates
     assert extra == {"note": "hello"}
     assert np.array_equal(thr, thresholds)
     for l1, l2 in zip(model.layers, back.layers):
@@ -119,7 +162,6 @@ def test_compressed_checkpoint_still_loads(tmp_path):
     """Checkpoints are written uncompressed; one written by
     np.savez_compressed with the same keys loads to an identical model."""
     model = random_network(5, [6, 4], 2, candidates_per_slot=2, seed=3, tau=4.0)
-    model.layers[1].frozen_interconnect = True
     thresholds = np.array([[0.5, 1.5], [0.0, 2.0]])
     plain = tmp_path / "plain.npz"
     save_checkpoint(plain, model, thresholds, extra={"note": "hi"})
@@ -138,14 +180,94 @@ def test_compressed_checkpoint_still_loads(tmp_path):
         for name in ("gate_logits", "candidates", "conn_weights"):
             a, b = getattr(l1, name), getattr(l2, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (l1.frozen_interconnect, l1.frozen_gates) == (
-            l2.frozen_interconnect, l2.frozen_gates
-        )
+
+
+def test_checkpoint_with_freezing_flags_still_loads(tmp_path):
+    """Older checkpoints also stored per-layer `frozen_*` lists in their
+    meta. Such a file loads to the same model and ignores them."""
+    model = random_network(5, [6, 4], 2, candidates_per_slot=2, seed=3, tau=4.0)
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, model, extra={"note": "old"})
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta_json"]))
+    assert not any(key.startswith("frozen_") for key in meta)
+    meta["frozen_interconnect"] = [False, True]
+    meta["frozen_gates"] = [True, False]
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    old = tmp_path / "old.npz"
+    np.savez(old, **arrays)
+    back, thr, extra = load_checkpoint(old)
+    assert thr is None and extra == {"note": "old"}
+    assert (back.input_width, back.num_classes, back.tau) == (5, 2, 4.0)
+    for l1, l2 in zip(model.layers, back.layers, strict=True):
+        for name in ("gate_logits", "candidates", "conn_weights"):
+            a, b = getattr(l1, name), getattr(l2, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.arange(3))
+    with pytest.raises(StructuralError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unopenable_path_is_config_error(tmp_path):
+    with pytest.raises(ConfigError):
+        load_checkpoint(tmp_path / "missing.npz")
+    with pytest.raises(ConfigError):
+        load_checkpoint(tmp_path)  # a directory
+
+
+def _saved_arrays(tmp_path):
+    model = random_network(5, [6, 4], 2, candidates_per_slot=2, seed=3)
+    path = tmp_path / "good.npz"
+    save_checkpoint(path, model)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    return arrays, json.loads(bytes(arrays["meta_json"]))
+
+
+def _with_meta(arrays, meta):
+    meta_json = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    return {**arrays, "meta_json": meta_json}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["text", "empty", "truncated zip", "npy", "no conn_weights_1",
+     "no n_layers", "meta is a list", "n_layers is text", "tau is nan",
+     "no classes"],
+)
+def test_checkpoint_malformed_content_is_structural_error(tmp_path, case):
+    arrays, meta = _saved_arrays(tmp_path)
+    path = tmp_path / "bad.npz"
+    good = (tmp_path / "good.npz").read_bytes()
+    if case == "text":
+        path.write_text("not a checkpoint\n")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "truncated zip":
+        path.write_bytes(good[: len(good) // 2])
+    elif case == "npy":
+        path = tmp_path / "bad.npy"
+        np.save(path, np.arange(3))
+    elif case == "no conn_weights_1":
+        del arrays["conn_weights_1"]
+        np.savez(path, **arrays)
+    else:
+        if case == "no n_layers":
+            del meta["n_layers"]
+        elif case == "meta is a list":
+            meta = [meta]
+        elif case == "n_layers is text":
+            meta["n_layers"] = "two"
+        elif case == "no classes":
+            meta["num_classes"] = 0
+        else:
+            meta["tau"] = float("nan")
+        np.savez(path, **_with_meta(arrays, meta))
     with pytest.raises(StructuralError):
         load_checkpoint(path)
 

@@ -293,11 +293,11 @@ def test_scatter_slots_bit_equals_documented_order(dtype):
 def test_frozen_tensors_get_zero_gradients():
     rng = np.random.default_rng(6)
     model = _rand_model(rng)
-    model.layers[0].frozen_gates = True
-    model.layers[1].frozen_interconnect = True
+    # Layer 0's gates and layer 1's interconnect are fixed.
+    phase = Phase("p", 1, active_interconnect=0, trainable_gates=(False, True))
     x = rng.integers(0, 2, size=(9, 8)).astype(np.uint8)
     y = rng.integers(0, 2, size=9)
-    grads = backward(model, _forward_arrays(model, x), y)
+    grads = backward(model, _forward_arrays(model, x), y, phase)
     assert not grads.d_logits[0].any()
     assert not grads.d_conn[1].any()
     assert grads.d_logits[1].any()
