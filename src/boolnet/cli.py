@@ -104,11 +104,13 @@ def _load_dataset(cfg, args) -> Dataset:
         raise ConfigError(
             f"dataset {name!r} needs --data, data.path, or ${DATA_DIR_ENV}"
         )
-    if name == "mnist":
-        return load_mnist_idx(path, d["val_size"], seed=cfg["train"]["seed"])
-    if name == "cifar10":
-        return load_cifar10(path, d["val_size"], seed=cfg["train"]["seed"])
-    raise ConfigError(f"unknown dataset {name!r}")
+    loader = {"mnist": load_mnist_idx, "cifar10": load_cifar10}.get(name)
+    if loader is None:
+        raise ConfigError(f"unknown dataset {name!r}")
+    try:
+        return loader(path, d["val_size"], seed=cfg["train"]["seed"])
+    except OSError as exc:  # e.g. a directory, or a .gz that is not gzip
+        raise IngestionError(f"cannot read dataset {path}: {exc}") from exc
 
 
 def _limit(idx: np.ndarray, cap: int | None, seed: int) -> np.ndarray:
@@ -179,8 +181,6 @@ def _write_metrics_csv(path: str, metrics: list[MetricRow]) -> None:
 def cmd_train(args, cfg) -> tuple[str, list[str]]:
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
-    os.makedirs(args.out, exist_ok=True)
-
     dataset, encoder, splits = _prepare(cfg, args)
     tconf = train_config_from(cfg)
     input_width = splits["train"][0].shape[1]
@@ -286,8 +286,6 @@ PASS_NAMES = ("trivial", "equivalence", "greedy", "similarity")
 
 
 def cmd_prune(args, cfg) -> tuple[str, list[str]]:
-    os.makedirs(args.out, exist_ok=True)
-
     circuit, thresholds = _load_circuit(args)
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
     for p in passes:
@@ -372,7 +370,6 @@ def cmd_eval(args, cfg) -> tuple[str, list[str]]:
     print(f"{args.split} accuracy {acc:.4f} on {len(labels)} samples")
     if not args.out:
         return provenance, []
-    os.makedirs(args.out, exist_ok=True)
     conf_path = os.path.join(args.out, "confusion.csv")
     with open(conf_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -478,6 +475,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_estimate_mem(args)
         cfg = load_config(args.config)
         apply_overrides(cfg, args.set or [])
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:  # e.g. --out names a file
+                raise ConfigError(f"--out: {exc}") from exc
         provenance, outputs = args.func(args, cfg)
         if args.out:
             _write_manifest(
@@ -485,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
                 time.monotonic() - t_start,
             )
         return EXIT_OK
-    except (ConfigError, UsageError, OSError) as exc:  # OSError: bad path
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IngestionError as exc:

@@ -191,17 +191,19 @@ class RandomSampler:
                 f"excluding {kept.shape[1]} kept"
             )
         out = self.rng.integers(0, I, size=(n_slots, R), dtype=np.int64)
-        for attempt in range(101):
+        for _ in range(100):
             srt = np.sort(out, axis=1)
             bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
             bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
             if not bad.any():
                 return out
-            if attempt < 100:
-                out[bad] = self.rng.integers(
-                    0, I, size=(int(bad.sum()), R), dtype=np.int64
-                )
+            out[bad] = self.rng.integers(
+                0, I, size=(int(bad.sum()), R), dtype=np.int64
+            )
         # Tiny pools can starve rejection sampling; finish slot by slot.
+        srt = np.sort(out, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
         for s in np.flatnonzero(bad):
             out[s] = sample_random(R, I, kept[s], self.rng)
         return out

@@ -66,6 +66,19 @@ def eval_code(code, a, b):
     return ((code >> idx) & 1).astype(np.uint8)
 
 
+def _validate_head(net) -> None:
+    """Checks a NetworkModel and a HardCircuit share."""
+    if not net.layers:
+        raise StructuralError("network has no layers")
+    if not 0 < net.tau < np.inf:
+        raise StructuralError(f"need 0 < tau < inf, got {net.tau}")
+    if net.num_classes < 1 or net.output_width % net.num_classes:
+        raise StructuralError(
+            f"final layer width {net.output_width} not divisible by "
+            f"{net.num_classes} classes"
+        )
+
+
 def _as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
 
@@ -174,17 +187,9 @@ class NetworkModel:
         return self.layers[layer_index - 1].n_gates
 
     def validate(self) -> None:
-        if not self.layers:
-            raise StructuralError("model has no layers")
+        _validate_head(self)
         if self.input_width <= 0:
             raise StructuralError("input_width must be positive")
-        if not 0 < self.tau < np.inf:
-            raise StructuralError(f"need 0 < tau < inf, got {self.tau}")
-        if self.num_classes < 1 or self.output_width % self.num_classes:
-            raise StructuralError(
-                f"final layer width {self.output_width} not divisible by "
-                f"{self.num_classes} classes"
-            )
         for i, lay in enumerate(self.layers):
             lay.validate(self.fan_in_width(i))
 
@@ -310,15 +315,7 @@ class HardCircuit:
         return self.layers[layer_index - 1].n_gates
 
     def validate(self) -> None:
-        if not self.layers:
-            raise StructuralError("circuit has no layers")
-        if not 0 < self.tau < np.inf:
-            raise StructuralError(f"need 0 < tau < inf, got {self.tau}")
-        if self.num_classes < 1 or self.output_width % self.num_classes:
-            raise StructuralError(
-                f"final layer width {self.output_width} not divisible by "
-                f"{self.num_classes} classes"
-            )
+        _validate_head(self)
         for i, lay in enumerate(self.layers):
             width = self.fan_in_width(i)
             if lay.code.min(initial=0) < 0 or lay.code.max(initial=0) >= N_CODES:

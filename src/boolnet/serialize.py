@@ -140,11 +140,13 @@ def load_checkpoint(
     """Inverse of save_checkpoint: (model, thresholds or None, extra).
 
     A path that cannot be opened raises ConfigError, content that is not
-    a checkpoint StructuralError. Meta keys that are not read here, such
-    as the per-layer freezing flags older versions wrote, are ignored.
-    """
+    a checkpoint StructuralError. Meta keys not read here, such as the
+    per-layer freezing flags older versions wrote, are ignored."""
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # e.g. an .npy file
+            raise StructuralError(f"malformed checkpoint {path}: not an npz")
+        with data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             if meta["version"] != CHECKPOINT_VERSION:
                 raise StructuralError(

@@ -704,37 +704,6 @@ def test_foreign_checkpoint_exits_4(synth_run, tmp_path, capsys):
     assert rc == 4
 
 
-def _broken_checkpoint(out, tmp_path, case):
-    """A copy of the synth checkpoint spoiled one way."""
-    bad = tmp_path / "bad.npz"
-    with np.load(out / "checkpoint.npz") as data:
-        arrays = {key: data[key] for key in data.files}
-    if case == "text":
-        bad.write_text("boolnet-netlist v1\n")
-        return bad
-    if case == "no conn_weights_1":
-        del arrays["conn_weights_1"]
-    else:  # no n_layers
-        meta = json.loads(bytes(arrays["meta_json"]))
-        del meta["n_layers"]
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-    np.savez(bad, **arrays)
-    return bad
-
-
-@pytest.mark.parametrize(
-    "case", ["text", "no conn_weights_1", "no n_layers"]
-)
-def test_malformed_checkpoint_exits_4(synth_run, tmp_path, case, capsys):
-    ini, out = synth_run
-    rc = main([
-        "eval", "--config", str(ini), "--split", "test",
-        "--checkpoint", str(_broken_checkpoint(out, tmp_path, case)),
-    ])
-    assert rc == 4
-    assert "malformed checkpoint" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag", ["--checkpoint", "--netlist"])
 def test_missing_artifact_exits_2(synth_run, tmp_path, flag, capsys):
     ini, _ = synth_run
@@ -824,6 +793,23 @@ def test_fewer_classes_than_labels_exits_2(tmp_path, command, capsys):
     ])
     assert rc == 2
     assert "2 classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["not gzip", "directory"])
+def test_unreadable_dataset_file_exits_3(tmp_path, case, capsys):
+    _tiny_mnist(tmp_path)
+    labels = tmp_path / MNIST_FILES["train_labels"]
+    labels.unlink()
+    if case == "not gzip":
+        labels.with_name(labels.name + ".gz").write_bytes(b"not gzip data")
+    else:
+        labels.mkdir()
+    rc = main([
+        "train", "--out", str(tmp_path / "o"), "--data", str(tmp_path),
+        "--set", "data.val_size=8",
+    ])
+    assert rc == 3
+    assert "cannot read dataset" in capsys.readouterr().err
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch):
