@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from boolnet.interconnect import (
     sample_gradient_guided,
     sample_random,
 )
-from boolnet.model import LayerParams
+from boolnet.model import LayerParams, sample_distinct
 
 
 def _one_slot_layer(candidates, weights) -> LayerParams:
@@ -161,6 +162,17 @@ def test_random_sampler_is_roughly_uniform():
     assert counts[0] == 0
     freq = counts[1:] / counts.sum()
     assert np.allclose(freq, 0.25, atol=0.02)
+
+
+def test_random_sampler_golden():
+    """SHA-256 of one wide refresh draw (24000 slots, I = 30720, R = 4,
+    4 kept ids a slot), as little-endian int64."""
+    kept = sample_distinct(np.random.default_rng(1), 24000, 30720, 8)[:, :4]
+    out = RandomSampler(np.random.default_rng(3)).sample_many(4, 30720, kept)
+    got = np.ascontiguousarray(out, dtype="<i8").tobytes()
+    assert hashlib.sha256(got).hexdigest() == (
+        "bcec414f8eb4fc4c01beb0ce56e9c1fb525c2688c643e29385b002243622f503"
+    )
 
 
 # ------------------------------------------------- gradient-guided  draws

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -114,6 +115,37 @@ def test_random_network_init():
     for l1, l2 in zip(model.layers, again.layers):
         assert np.array_equal(l1.candidates, l2.candidates)
         assert np.array_equal(l1.gate_logits, l2.gate_logits)
+
+
+# SHA-256 of each layer's candidates, as little-endian int32, for two fixed
+# inits: the desk shape, whose draws reject repeats, and a small net whose
+# every layer draws by random keys. Only integer draws are pinned: the gate
+# logits come from rng.normal, whose tail calls libm.
+GOLDEN_INIT = {
+    (2352, (1000, 1000, 1000), 10, 0): (
+        "24868a3369fb8ec1f2889ea2fb1925a21aebbb0f01bd8e4f0ba9ca42c97eccda",
+        "f4e6b7ab31f9be7d9915793417d865196bc2da2a6a4c93e8f6ffa6a2e5832388",
+        "096388084d53ee05f8e6d60e23d9519d7423834a5f1b5805d5bde8da88b8eb79",
+    ),
+    (12, (64, 64, 30), 2, 2): (
+        "0358ca43869e337fd201dccf83102f493e1831e902e8223a005fbbe49d607662",
+        "4bdad37de1b0646b77de2b8f9cb5c37096ab443c5d2977e43746bf2210f8e481",
+        "7c46b514df762e0984f8e90f09db25cccd0c2bb2de72ae7748d107e5755113d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_INIT))
+def test_random_network_candidates_golden(shape):
+    input_width, widths, classes, seed = shape
+    model = random_network(input_width, list(widths), classes, 8, seed=seed)
+    got = tuple(
+        hashlib.sha256(
+            np.ascontiguousarray(lay.candidates, dtype="<i4").tobytes()
+        ).hexdigest()
+        for lay in model.layers
+    )
+    assert got == GOLDEN_INIT[shape]
 
 
 # ------------------------------------------------------------ hardening
