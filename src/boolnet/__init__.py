@@ -19,7 +19,6 @@ from .interconnect import (
     RefreshEvent,
     refresh_candidates,
     sample_gradient_guided,
-    sample_random,
 )
 from .model import (
     HardCircuit,
@@ -75,7 +74,6 @@ __all__ = [
     "RefreshEvent",
     "refresh_candidates",
     "sample_gradient_guided",
-    "sample_random",
     "HardCircuit",
     "HardLayer",
     "LayerParams",

@@ -270,7 +270,7 @@ def _encoded_split_for_circuit(
     )
     bits = _encode(encoder, feats)
     if bits.n_signals != circuit.input_width:
-        raise StructuralError(
+        raise ConfigError(
             f"encoded width {bits.n_signals} != circuit input "
             f"{circuit.input_width}"
         )
@@ -293,6 +293,12 @@ def cmd_prune(args, cfg) -> tuple[str, list[str]]:
             raise ConfigError(
                 f"unknown pass {p!r}; choose from {', '.join(PASS_NAMES)}"
             )
+    # Checked before any pass runs, by comparisons that NaN fails.
+    g, c = args.greedy_threshold, args.similarity_c
+    if not 0.5 < g <= 1.0:
+        raise ConfigError(f"--greedy-threshold must be in (0.5, 1], got {g}")
+    if not 0 < c <= 1.0:
+        raise ConfigError(f"--similarity-c must be in (0, 1], got {c}")
 
     needs_data = bool({"greedy", "similarity"} & set(passes)) or args.data
     bits = labels = None

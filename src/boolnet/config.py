@@ -1,8 +1,9 @@
 """Run configuration: INI-style file with typed defaults and overrides.
 
-Every key belongs to a section; unknown sections or keys are rejected
-with the full list of offenders so typos surface immediately. Values on
-the command line (--set section.key=value) win over the file.
+Every key belongs to a section; unknown sections, and then unknown keys,
+are rejected with the full list of offenders so typos surface
+immediately. Values on the command line (--set section.key=value) win
+over the file.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def default_config() -> dict[str, dict[str, Any]]:
 
 
 def load_config(path: str | None) -> dict[str, dict[str, Any]]:
-    """Parse an INI file onto the schema defaults."""
+    """Parse an INI file onto the schema defaults. Each entry goes through
+    apply_overrides as section.key=value; unknown sections are rejected
+    first, also when they hold no keys."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -77,24 +80,14 @@ def load_config(path: str | None) -> dict[str, dict[str, Any]]:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
-    bad = []
-    for section in parser.sections():
-        if section not in SCHEMA:
-            bad.append(section)
-            continue
-        for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
-                bad.append(f"{section}.{key}")
-                continue
-            parse = SCHEMA[section][key][0]
-            try:
-                cfg[section][key] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {exc}"
-                ) from exc
+    bad = sorted(set(parser.sections()) - SCHEMA.keys())
     if bad:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(bad)))
+        raise ConfigError("unknown config keys: " + ", ".join(bad))
+    apply_overrides(cfg, [
+        f"{section}.{key}={value}"
+        for section in parser.sections()
+        for key, value in parser.items(section)
+    ])
     return cfg
 
 

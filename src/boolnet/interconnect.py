@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError, UsageError
-from .model import LayerParams
+from .model import LayerParams, sample_distinct
 
 # Columns per slice when scoring one slot. A whole layer sizes its slices so
 # a (batch + S) x chunk float64 array is BLOCK_BYTES; a few such are live.
@@ -37,20 +37,6 @@ BLOCK_BYTES = 4 << 20
 # A guided refresh reselects each slot's best R once the entries collected
 # since the last selection, 24 bytes each, pass this many bytes.
 COLLECT_BYTES = 1 << 20
-
-
-def sample_random(
-    R: int, I: int, exclude, rng: np.random.Generator
-) -> np.ndarray:
-    """R distinct indices uniform over [0, I) minus the excluded set."""
-    excl = np.unique(np.asarray(list(exclude), dtype=np.int64).reshape(-1))
-    excl = excl[(excl >= 0) & (excl < I)]
-    if I - excl.size < R:
-        raise StructuralError(
-            f"cannot draw {R} indices from [0,{I}) excluding {excl.size}"
-        )
-    pool = np.setdiff1d(np.arange(I, dtype=np.int64), excl, assume_unique=True)
-    return rng.choice(pool, size=R, replace=False).astype(np.int64)
 
 
 def connection_scores_chunk(x_cols: np.ndarray, dy_slot: np.ndarray) -> np.ndarray:
@@ -178,42 +164,16 @@ def sample_gradient_guided(
 class RandomSampler:
     """Uniform replacement sampling, vectorized across all slots."""
 
-    mode = "random"
-
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
     def sample_many(self, R: int, I: int, kept: np.ndarray):
-        n_slots = kept.shape[0]
-        if I - kept.shape[1] < R:
-            raise StructuralError(
-                f"cannot draw {R} indices from [0,{I}) "
-                f"excluding {kept.shape[1]} kept"
-            )
-        out = self.rng.integers(0, I, size=(n_slots, R), dtype=np.int64)
-        for _ in range(100):
-            srt = np.sort(out, axis=1)
-            bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-            bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
-            if not bad.any():
-                return out
-            out[bad] = self.rng.integers(
-                0, I, size=(int(bad.sum()), R), dtype=np.int64
-            )
-        # Tiny pools can starve rejection sampling; finish slot by slot.
-        srt = np.sort(out, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
-        for s in np.flatnonzero(bad):
-            out[s] = sample_random(R, I, kept[s], self.rng)
-        return out
+        return sample_distinct(self.rng, kept.shape[0], I, R, kept)
 
 
 class GradientGuidedSampler:
     """Replacement sampling from the most negative connection gradients
     of the most recent training batch."""
-
-    mode = "gradient_guided"
 
     def __init__(self, x: np.ndarray, dy: np.ndarray):
         # x: (batch, I) layer inputs; dy: (batch, G, 2) slot gradients.

@@ -66,19 +66,6 @@ def eval_code(code, a, b):
     return ((code >> idx) & 1).astype(np.uint8)
 
 
-def _validate_head(net) -> None:
-    """Checks a NetworkModel and a HardCircuit share."""
-    if not net.layers:
-        raise StructuralError("network has no layers")
-    if not 0 < net.tau < np.inf:
-        raise StructuralError(f"need 0 < tau < inf, got {net.tau}")
-    if net.num_classes < 1 or net.output_width % net.num_classes:
-        raise StructuralError(
-            f"final layer width {net.output_width} not divisible by "
-            f"{net.num_classes} classes"
-        )
-
-
 def _as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
 
@@ -161,11 +148,11 @@ class LayerParams:
 
 
 @dataclass
-class NetworkModel:
-    """Trainable network: gate layers plus the GroupSum head settings."""
+class _Network:
+    """Gate layers plus the GroupSum head settings, trainable or hard."""
 
     input_width: int
-    layers: list[LayerParams]
+    layers: list  # of LayerParams or of HardLayer
     num_classes: int
     tau: float = 30.0
 
@@ -177,24 +164,24 @@ class NetworkModel:
     def output_width(self) -> int:
         return self.layers[-1].n_gates
 
-    @property
-    def group_size(self) -> int:
-        return self.output_width // self.num_classes
-
     def fan_in_width(self, layer_index: int) -> int:
         if layer_index == 0:
             return self.input_width
         return self.layers[layer_index - 1].n_gates
 
     def validate(self) -> None:
-        _validate_head(self)
-        if self.input_width <= 0:
-            raise StructuralError("input_width must be positive")
-        for i, lay in enumerate(self.layers):
-            lay.validate(self.fan_in_width(i))
+        if not self.layers:
+            raise StructuralError("network has no layers")
+        if not 0 < self.tau < np.inf:
+            raise StructuralError(f"need 0 < tau < inf, got {self.tau}")
+        if self.num_classes < 1 or self.output_width % self.num_classes:
+            raise StructuralError(
+                f"final layer width {self.output_width} not divisible by "
+                f"{self.num_classes} classes"
+            )
 
-    def copy(self) -> "NetworkModel":
-        return NetworkModel(
+    def copy(self):
+        return type(self)(
             self.input_width,
             [lay.copy() for lay in self.layers],
             self.num_classes,
@@ -202,25 +189,52 @@ class NetworkModel:
         )
 
 
-def sample_distinct(
-    rng: np.random.Generator, n_slots: int, width: int, count: int
-) -> np.ndarray:
-    """Sample (n_slots, count) index rows, distinct within each row.
+@dataclass
+class NetworkModel(_Network):
+    """Trainable network: layers of LayerParams."""
 
-    Uses rejection resampling of offending rows; for count close to width
-    falls back to random-key sorting, which is collision-free.
+    @property
+    def group_size(self) -> int:
+        return self.output_width // self.num_classes
+
+    def validate(self) -> None:
+        super().validate()
+        if self.input_width <= 0:
+            raise StructuralError("input_width must be positive")
+        for i, lay in enumerate(self.layers):
+            lay.validate(self.fan_in_width(i))
+
+
+def sample_distinct(
+    rng: np.random.Generator, n_slots: int, width: int, count: int,
+    kept: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sample (n_slots, count) indices in [0, width), distinct within each
+    row and outside that row of `kept` ((n_slots, k) distinct ids).
+
+    With (count + k)**2 >= width each row sorts random keys, the kept ids
+    keyed +inf; keys cannot collide. Below that threshold a row of uniform
+    draws fails with probability < (count + k)**2 / (2 * width) < 1/2, so
+    each round of redrawing the failed rows at least halves them in
+    expectation.
     """
-    if count > width:
+    k = 0 if kept is None else kept.shape[1]
+    if count + k > width:
         raise StructuralError(
-            f"cannot draw {count} distinct indices from a width of {width}"
+            f"cannot draw {count} distinct indices from a width of {width} "
+            f"excluding {k} kept"
         )
-    if count * count >= width:
+    if (count + k) ** 2 >= width:
         keys = rng.random((n_slots, width))
+        if k:
+            np.put_along_axis(keys, kept, np.inf, axis=1)
         return np.argsort(keys, axis=1)[:, :count].astype(np.int32)
     out = rng.integers(0, width, size=(n_slots, count), dtype=np.int32)
     while True:
         srt = np.sort(out, axis=1)
         bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if k:
+            bad |= (out[:, :, None] == kept[:, None, :]).any(axis=(1, 2))
         if not bad.any():
             return out
         out[bad] = rng.integers(0, width, size=(int(bad.sum()), count))
@@ -289,33 +303,16 @@ class HardLayer:
 
 
 @dataclass
-class HardCircuit:
-    """Static layered circuit; inputs only ever reference the previous layer."""
-
-    input_width: int
-    layers: list[HardLayer]
-    num_classes: int
-    tau: float = 30.0
-
-    @property
-    def layer_widths(self) -> list[int]:
-        return [lay.n_gates for lay in self.layers]
-
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1].n_gates
+class HardCircuit(_Network):
+    """Static layered circuit of HardLayers; inputs only ever reference the
+    previous layer."""
 
     @property
     def n_gates(self) -> int:
         return sum(self.layer_widths)
 
-    def fan_in_width(self, layer_index: int) -> int:
-        if layer_index == 0:
-            return self.input_width
-        return self.layers[layer_index - 1].n_gates
-
     def validate(self) -> None:
-        _validate_head(self)
+        super().validate()
         for i, lay in enumerate(self.layers):
             width = self.fan_in_width(i)
             if lay.code.min(initial=0) < 0 or lay.code.max(initial=0) >= N_CODES:
@@ -325,14 +322,6 @@ class HardCircuit:
                     raise StructuralError(
                         f"fan-in index out of range [0, {width}) in layer {i}"
                     )
-
-    def copy(self) -> "HardCircuit":
-        return HardCircuit(
-            self.input_width,
-            [lay.copy() for lay in self.layers],
-            self.num_classes,
-            self.tau,
-        )
 
 
 def harden(model: NetworkModel) -> HardCircuit:

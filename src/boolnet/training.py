@@ -195,10 +195,8 @@ def _scatter_slots(
     it hard-selected.
 
     A signal's slots a0, a1, ... (in slot order) sum as
-    a0 + (((-0.0 + a1) + a2) + ...), np.add.reduceat's order for up to 8
-    addends (numpy 2.4), signed zeros included. It runs here rank by rank
-    with whole-array adds. Signals with more than 8 slots, which reduceat
-    sums pairwise, go to reduceat itself.
+    a0 + (((-0.0 + a1) + a2) + ...), signed zeros included, whatever
+    their number. It runs rank by rank with whole-array adds.
     """
     batch = dslot.shape[0]
     cols = sel.reshape(-1)
@@ -212,16 +210,10 @@ def _scatter_slots(
     # Rows of the transposed layout are contiguous batch vectors.
     flat_t = np.ascontiguousarray(dslot.reshape(batch, -1).T[order])
     sums = np.full((starts.size, batch), -0.0, dtype=dslot.dtype)
-    for r in range(1, min(counts[0], 8)):
+    for r in range(1, counts[0]):
         k = np.count_nonzero(counts > r)
         sums[:k] += flat_t[starts[:k] + r]
     sums += flat_t[starts]
-    big = counts > 8
-    if big.any():
-        s, n = starts[big], counts[big]
-        lead = np.cumsum(n) - n
-        rows = flat_t[np.repeat(s - lead, n) + np.arange(n.sum())]
-        sums[big] = np.add.reduceat(rows, lead, axis=0)
     out = np.zeros((batch, width), dtype=dslot.dtype)
     out[:, sorted_cols[starts]] = sums.T
     return out
@@ -471,6 +463,8 @@ def train(
     the batch that was just processed.
     """
     config.validate()
+    if not (budget_seconds is None or budget_seconds >= 0):
+        raise ConfigError(f"budget_seconds must be >= 0, got {budget_seconds}")
     model.validate()
     if model.tau != config.tau:
         model.tau = config.tau

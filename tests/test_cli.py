@@ -725,7 +725,7 @@ def test_prune_out_naming_a_file_exits_2(synth_run, tmp_path, capsys):
     assert "taken" in capsys.readouterr().err
 
 
-def test_width_mismatch_exits_4(synth_run, tmp_path, capsys):
+def test_width_mismatch_exits_2(synth_run, tmp_path, capsys):
     ini, _ = synth_run
     other = harden(random_network(12, [4, 4], 2, 4, seed=0))
     nl = tmp_path / "other.netlist"
@@ -734,8 +734,42 @@ def test_width_mismatch_exits_4(synth_run, tmp_path, capsys):
         "eval", "--config", str(ini), "--netlist", str(nl),
         "--split", "test",
     ])
-    assert rc == 4
+    assert rc == 2
     assert "encoded width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--similarity-c", "nan"), ("--similarity-c", "0"),
+     ("--similarity-c", "1.5"), ("--greedy-threshold", "nan"),
+     ("--greedy-threshold", "0.2"), ("--greedy-threshold", "1.01")],
+)
+def test_prune_threshold_out_of_range_exits_2_before_any_pass(
+    synth_run, tmp_path, capsys, flag, value
+):
+    ini, out = synth_run
+    rc = main([
+        "prune", "--config", str(ini),
+        "--checkpoint", str(out / "checkpoint.npz"),
+        "--out", str(tmp_path / "o"), flag, value,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_budget_seconds_not_a_number_at_least_0_exits_2(
+    synth_run, tmp_path, capsys, budget
+):
+    ini, _ = synth_run
+    rc = main([
+        "train", "--config", str(ini), "--out", str(tmp_path / "o"),
+        "--quiet", "--budget-seconds", budget,
+    ])
+    assert rc == 2
+    assert "budget_seconds" in capsys.readouterr().err
 
 
 def test_unknown_prune_pass_exits_2(synth_run, tmp_path, capsys):

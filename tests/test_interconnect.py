@@ -14,7 +14,6 @@ from boolnet.interconnect import (
     connection_scores_chunk,
     refresh_candidates,
     sample_gradient_guided,
-    sample_random,
 )
 from boolnet.model import LayerParams, sample_distinct
 
@@ -132,15 +131,18 @@ def test_hardened_choice_stability_under_refresh():
 
 def test_sample_random_respects_exclusions():
     rng = np.random.default_rng(6)
+    kept = np.array([[0, 1, 2, 3, 4]])
     for _ in range(200):
-        out = sample_random(3, 8, exclude=[0, 1, 2, 3, 4], rng=rng)
+        out = sample_distinct(rng, 1, 8, 3, kept=kept)[0]
         assert sorted(out) == [5, 6, 7] or len(set(out)) == 3
         assert not set(out) & {0, 1, 2, 3, 4}
 
 
 def test_sample_random_pool_too_small():
     with pytest.raises(StructuralError):
-        sample_random(4, 5, exclude=[0, 1], rng=np.random.default_rng(0))
+        sample_distinct(
+            np.random.default_rng(0), 1, 5, 4, kept=np.array([[0, 1]])
+        )
 
 
 def test_random_sampler_tiny_pool_falls_back():

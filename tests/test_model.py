@@ -88,13 +88,27 @@ def test_dependency_masks():
     data=st.data(),
 )
 def test_sample_distinct_property(n_slots, width, seed, data):
-    count = data.draw(st.integers(1, width))
+    k = data.draw(st.integers(0, min(3, width - 1)))
+    count = data.draw(st.integers(1, width - k))
     rng = np.random.default_rng(seed)
-    out = sample_distinct(rng, n_slots, width, count)
+    kept = np.argsort(rng.random((n_slots, width)), axis=1)[:, :k]
+    out = sample_distinct(rng, n_slots, width, count, kept=kept)
     assert out.shape == (n_slots, count)
     assert out.min() >= 0 and out.max() < width
-    for row in out:
+    for row, excl in zip(out, kept):
         assert len(set(row.tolist())) == count
+        assert not set(row.tolist()) & set(excl.tolist())
+
+
+def test_sample_distinct_kept_covers_both_regimes():
+    # (count + k)**2 = 25 against widths 20 (random keys) and 400
+    # (rejection): both leave every row's kept ids out.
+    for width in (20, 400):
+        rng = np.random.default_rng(width)
+        kept = np.argsort(rng.random((200, width)), axis=1)[:, :3]
+        out = sample_distinct(rng, 200, width, 2, kept=kept)
+        assert not (out[:, :, None] == kept[:, None, :]).any()
+        assert (np.sort(out, axis=1)[:, 1] > np.sort(out, axis=1)[:, 0]).all()
 
 
 def test_sample_distinct_overflows():

@@ -246,17 +246,13 @@ def test_slot_gradient_finite_differences():
 
 def _scatter_oracle(dslot, sel, width):
     """_scatter_slots' documented order, one signal at a time: slots a0,
-    a1, ... in slot order sum as a0 + (((-0.0 + a1) + a2) + ...) for up to
-    8 slots; more go to np.add.reduceat."""
+    a1, ... in slot order sum as a0 + (((-0.0 + a1) + a2) + ...)."""
     batch = dslot.shape[0]
     flat = dslot.reshape(batch, -1)
     cols = sel.reshape(-1)
     out = np.zeros((batch, width), dtype=dslot.dtype)
     for col in np.unique(cols):
         members = np.ascontiguousarray(flat[:, cols == col].T)
-        if len(members) > 8:
-            out[:, col] = np.add.reduceat(members, [0], axis=0)[0]
-            continue
         tail = np.full(batch, -0.0, dtype=dslot.dtype)
         for m in members[1:]:
             tail = tail + m
@@ -406,6 +402,17 @@ def test_train_rejects_empty_training_split():
     empty = EncodedSplits(np.zeros((0, 6), np.uint8), np.zeros(0, np.int64))
     with pytest.raises(ConfigError, match="empty"):
         train(model, empty, TrainConfig(total_epochs=1, C=3))
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -np.inf])
+def test_train_rejects_budget_that_is_not_a_number_at_least_0(budget):
+    model = random_network(6, [4, 2], 2, candidates_per_slot=3, seed=0)
+    snap = model.copy()
+    splits = _parity_splits(np.random.default_rng(0), n=64)
+    with pytest.raises(ConfigError, match="budget_seconds"):
+        train(model, splits, TrainConfig(total_epochs=1, C=3), budget)
+    for before, after in zip(snap.layers, model.layers):
+        assert np.array_equal(before.gate_logits, after.gate_logits)
 
 
 @pytest.mark.parametrize("sampling_mode", ["random", "gradient_guided"])
