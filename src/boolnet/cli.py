@@ -89,8 +89,12 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _load_dataset(cfg, args) -> Dataset:
+def _load_dataset(cfg, args, split: str | None = None) -> Dataset:
+    """The configured dataset; with `split`, a file-backed one reads only
+    the files that hold that split, and keeps only its rows."""
     d = cfg["data"]
+    if d["val_size"] < 0:
+        raise ConfigError(f"data.val_size must be >= 0, got {d['val_size']}")
     name = d["dataset"]
     if name == "synth":
         return synth_boolean_task(
@@ -108,7 +112,7 @@ def _load_dataset(cfg, args) -> Dataset:
     if loader is None:
         raise ConfigError(f"unknown dataset {name!r}")
     try:
-        return loader(path, d["val_size"], seed=cfg["train"]["seed"])
+        return loader(path, d["val_size"], cfg["train"]["seed"], split)
     except OSError as exc:  # e.g. a directory, or a .gz that is not gzip
         raise IngestionError(f"cannot read dataset {path}: {exc}") from exc
 
@@ -137,7 +141,7 @@ def _encode(
 def _prepare(cfg, args):
     """Dataset -> (dataset, encoder, dict of encoded split arrays)."""
     d = cfg["data"]
-    for key, least in (("limit_train", 1), ("limit_test", 0), ("val_size", 0)):
+    for key, least in (("limit_train", 1), ("limit_test", 0)):
         if d[key] is not None and d[key] < least:
             raise ConfigError(f"data.{key} must be >= {least}, got {d[key]}")
     mode, T = cfg["encoding"]["mode"], cfg["encoding"]["thresholds"]
@@ -259,8 +263,13 @@ def _encoded_split_for_circuit(
 ) -> tuple[BitMatrix, np.ndarray, str]:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
-    dataset = _load_dataset(cfg, args)
+    dataset = _load_dataset(cfg, args, args.split)
     feats, labels = dataset.split_arrays(args.split)
+    if not labels.size:  # checked before any pass, so nothing reports NaN
+        raise ConfigError(
+            f"the {args.split} split is empty "
+            f"(data.val_size={cfg['data']['val_size']})"
+        )
     if args.limit is not None:
         feats = feats[: args.limit]
         labels = labels[: args.limit]

@@ -7,6 +7,7 @@ carved out of the official train split, never out of test.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import os
@@ -64,17 +65,41 @@ class Dataset:
 
     def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         idx = self.indices(split)
+        if idx.size == self.labels.size:  # e.g. a one-split load: no copy
+            return self.features, self.labels
         return self.features[idx], self.labels[idx]
+
+
+# The files that hold each split: validation is carved from the train files.
+SPLIT_FILES = {None: ("train", "test"), "train": ("train",),
+               "val": ("train",), "test": ("test",)}
 
 
 def _carve_val(
     n_train: int, n_test: int, val_size: int, seed: int
 ) -> np.ndarray:
-    split = np.array(["train"] * n_train + ["test"] * n_test)
+    split = np.repeat(np.array(["train", "test"]), [n_train, n_test])
     rng = np.random.default_rng(seed)
     val_idx = rng.permutation(n_train)[: min(val_size, n_train)]
     split[val_idx] = "val"
     return split
+
+
+def _tagged(
+    features: np.ndarray, labels: np.ndarray, n_train: int, val_size: int,
+    seed: int, split: str | None, provenance: str,
+) -> Dataset:
+    """The rows of the train files, then of the test files, as a 10-class
+    Dataset; with `split`, only that split's rows."""
+    labels = labels.astype(np.int64)
+    if labels.size and labels.max() > 9:
+        raise IngestionError(f"label outside 0..9 in {provenance}")
+    tags = _carve_val(n_train, len(labels) - n_train, val_size, seed)
+    if split in ("train", "val"):  # the test files hold only test rows
+        rows = np.flatnonzero(tags == split)
+        features, labels, tags = features[rows], labels[rows], tags[rows]
+    return Dataset(features, labels, tags, num_classes=10,
+                   provenance=provenance)
 
 
 def _open_maybe_gz(path: str):
@@ -103,101 +128,92 @@ def _idx_dims(fh, path: str, expect_magic: int) -> list[int]:
     return list(struct.unpack(f">{head[3]}I", raw))
 
 
-def _empty_idx(shape: list[int], path: str) -> np.ndarray:
-    try:
-        return np.empty(shape, dtype=np.uint8)
-    except (MemoryError, ValueError):
-        raise IngestionError(f"IDX dims {shape} too large: {path}") from None
+def _fill(
+    files, paths: list[str], out: np.ndarray, counts: list[int]
+) -> None:
+    """Read the rest of each file straight into its next `counts` rows of
+    `out`, which it must fill exactly."""
+    start = 0
+    for fh, path, n in zip(files, paths, counts):
+        view = memoryview(out[start : start + n]).cast("B")
+        got = 0
+        while got < len(view) and (k := fh.readinto(view[got:])):
+            got += k
+        if got != len(view) or fh.read(1):
+            raise IngestionError(f"payload is not {len(view)} bytes: {path}")
+        start += n
 
 
-def _idx_payload(fh, path: str, out: np.ndarray) -> None:
-    """Read the payload straight into `out`, which it must fill exactly."""
-    view = memoryview(out).cast("B")
-    got = 0
-    while got < len(view) and (n := fh.readinto(view[got:])):
-        got += n
-    if got != len(view) or fh.read(1):
-        raise IngestionError(
-            f"IDX payload size != header product {len(view)}: {path}"
-        )
-
-
-def _read_idx(path: str, expect_magic: int) -> np.ndarray:
-    with _open_maybe_gz(path) as fh:
-        out = _empty_idx(_idx_dims(fh, path, expect_magic), path)
-        _idx_payload(fh, path, out)
-    return out
+def _read_idx(paths: list[str], magic: int) -> tuple[np.ndarray, list[int]]:
+    """The payloads of IDX files with items of one size, in one (N, item
+    size) array, and each file's item count."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_open_maybe_gz(p)) for p in paths]
+        dims = [_idx_dims(fh, p, magic) for fh, p in zip(files, paths)]
+        if len({math.prod(d[1:]) for d in dims}) > 1:
+            raise IngestionError("train and test image sizes differ")
+        counts = [d[0] for d in dims]
+        try:
+            out = np.empty((sum(counts), math.prod(dims[0][1:])), np.uint8)
+        except (MemoryError, ValueError):
+            raise IngestionError(
+                f"IDX dims {dims} too large: {paths}"
+            ) from None
+        _fill(files, paths, out, counts)
+    return out, counts
 
 
 def load_mnist_idx(
-    path: str | os.PathLike, val_size: int = VAL_SIZE, seed: int = 0
+    path: str | os.PathLike, val_size: int = VAL_SIZE, seed: int = 0,
+    split: str | None = None,
 ) -> Dataset:
-    """Load the four canonical IDX files (plain or .gz) from a directory.
+    """Load the four canonical IDX files (plain or .gz) from a directory;
+    with `split`, read only the two that hold it and keep its rows.
 
-    Both image payloads are read straight into one (N, F) feature array,
-    so no raw copy of either file is ever held."""
+    The image payloads are read straight into one (N, F) feature array,
+    so no raw copy of any file is ever held."""
     path = os.fspath(path)
-    trl = _read_idx(os.path.join(path, MNIST_FILES["train_labels"]), 0x801)
-    tel = _read_idx(os.path.join(path, MNIST_FILES["test_labels"]), 0x801)
-    tr_path = os.path.join(path, MNIST_FILES["train_images"])
-    te_path = os.path.join(path, MNIST_FILES["test_images"])
-    with _open_maybe_gz(tr_path) as tr, _open_maybe_gz(te_path) as te:
-        tr_dims = _idx_dims(tr, tr_path, 0x803)
-        te_dims = _idx_dims(te, te_path, 0x803)
-        if tr_dims[0] != len(trl) or te_dims[0] != len(tel):
-            raise IngestionError("image/label sample counts disagree")
-        n_train, n_features = len(trl), math.prod(tr_dims[1:])
-        if math.prod(te_dims[1:]) != n_features:
-            raise IngestionError("train and test image sizes differ")
-        features = _empty_idx([n_train + len(tel), n_features], path)
-        _idx_payload(tr, tr_path, features[:n_train])
-        _idx_payload(te, te_path, features[n_train:])
-    labels = np.concatenate([trl, tel]).astype(np.int64)
-    if labels.max() > 9:
-        raise IngestionError("MNIST label outside 0..9")
-    return Dataset(
-        features,
-        labels,
-        _carve_val(n_train, len(tel), val_size, seed),
-        num_classes=10,
-        provenance=f"mnist-idx:{path}",
+    parts = SPLIT_FILES[split]
+    labels, counts = _read_idx(
+        [os.path.join(path, MNIST_FILES[f"{p}_labels"]) for p in parts], 0x801
     )
-
-
-def _read_cifar_batch(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with _open_maybe_gz(path) as fh:
-        raw = fh.read()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
-        raise IngestionError(
-            f"truncated CIFAR batch (size {len(raw)}): {path}"
-        )
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-    return arr[:, 1:].copy(), arr[:, 0].astype(np.int64)
+    features, n_images = _read_idx(
+        [os.path.join(path, MNIST_FILES[f"{p}_images"]) for p in parts], 0x803
+    )
+    if n_images != counts:
+        raise IngestionError("image/label sample counts disagree")
+    n_train = counts[0] if parts[0] == "train" else 0
+    return _tagged(features, labels[:, 0], n_train, val_size, seed, split,
+                   f"mnist-idx:{path}")
 
 
 def load_cifar10(
-    path: str | os.PathLike, val_size: int = VAL_SIZE, seed: int = 0
+    path: str | os.PathLike, val_size: int = VAL_SIZE, seed: int = 0,
+    split: str | None = None,
 ) -> Dataset:
-    """Load the 5 train + 1 test binary batches from a directory."""
+    """Load the 5 train + 1 test binary batches (3073-byte records: the
+    label byte, then the pixels) from a directory; with `split`, read only
+    the batches that hold it and keep its rows. The records are read
+    straight into one array, and the features are a view of its pixels."""
     path = os.fspath(path)
-    xs, ys = [], []
-    for name in CIFAR_TRAIN:
-        x, y = _read_cifar_batch(os.path.join(path, name))
-        xs.append(x)
-        ys.append(y)
-    n_train = sum(len(y) for y in ys)
-    xt, yt = _read_cifar_batch(os.path.join(path, CIFAR_TEST))
-    features = np.concatenate(xs + [xt])
-    labels = np.concatenate(ys + [yt])
-    if labels.max() > 9:
-        raise IngestionError("CIFAR-10 label outside 0..9")
-    return Dataset(
-        features,
-        labels,
-        _carve_val(n_train, len(yt), val_size, seed),
-        num_classes=10,
-        provenance=f"cifar10:{path}",
-    )
+    names = [n for p in SPLIT_FILES[split]
+             for n in (CIFAR_TRAIN if p == "train" else [CIFAR_TEST])]
+    paths = [os.path.join(path, n) for n in names]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_open_maybe_gz(p)) for p in paths]
+        sizes = [fh.seek(0, os.SEEK_END) for fh in files]
+        for fh, p, size in zip(files, paths, sizes):
+            if size == 0 or size % CIFAR_RECORD:
+                raise IngestionError(
+                    f"truncated CIFAR batch (size {size}): {p}"
+                )
+            fh.seek(0)
+        counts = [size // CIFAR_RECORD for size in sizes]
+        rec = np.empty((sum(counts), CIFAR_RECORD), np.uint8)
+        _fill(files, paths, rec, counts)
+    n_train = sum(c for n, c in zip(names, counts) if n != CIFAR_TEST)
+    return _tagged(rec[:, 1:], rec[:, 0], n_train, val_size, seed, split,
+                   f"cifar10:{path}")
 
 
 SYNTH_KINDS = ("parity-of-subset", "threshold-vote", "random-circuit-teacher")

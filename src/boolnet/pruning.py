@@ -372,7 +372,8 @@ def profile_activations(
     survivors take their old rows, and only gates whose table or read
     inputs changed, or that read a changed row, are evaluated again; a row
     equal to its old one is not changed, so the change stops spreading.
-    Without a prior every gate counts as changed."""
+    A layer that keeps every gate and redoes none shares the prior's
+    arrays. Without a prior every gate counts as changed."""
     valid = _valid_words_mask(data.n_samples)
     prev = data.to_signal_words()
     prev_changed = np.zeros(circuit.input_width, dtype=bool)
@@ -383,20 +384,24 @@ def profile_activations(
         ones = np.empty(lay.n_gates, dtype=np.int64)
         if prior is not None:
             k, was = prior[2][li], prior[1].layers[li]
-            rows, ones = prior[0].words[li][k], prior[0].ones[li][k]
             src = prior[2][li - 1] if li else np.arange(circuit.input_width)
             redo = (lay.code != was.code[k]) | DEPENDS_A[lay.code] & (
                 (src[lay.in0] != was.in0[k]) | prev_changed[lay.in0]
             ) | DEPENDS_B[lay.code] & (
                 (src[lay.in1] != was.in1[k]) | prev_changed[lay.in1]
             )
+            rows, ones = prior[0].words[li], prior[0].ones[li]
+            if redo.any() or k.size < was.n_gates:  # else `k` is the identity
+                rows, ones = rows[k], ones[k]  # copies, free to overwrite
         idx = np.flatnonzero(redo)
-        fresh = _eval_layer_words(
-            HardLayer(lay.code[idx], lay.in0[idx], lay.in1[idx]), prev, valid
-        )
-        if prior is not None:
-            redo[idx] = (fresh != rows[idx]).any(axis=1)
-        rows[idx], ones[idx] = fresh, np.bitwise_count(fresh).sum(axis=1)
+        if idx.size:
+            fresh = _eval_layer_words(
+                HardLayer(lay.code[idx], lay.in0[idx], lay.in1[idx]), prev,
+                valid,
+            )
+            if prior is not None:
+                redo[idx] = (fresh != rows[idx]).any(axis=1)
+            rows[idx], ones[idx] = fresh, np.bitwise_count(fresh).sum(axis=1)
         layers.append((rows, ones, redo))
         prev, prev_changed = rows, redo
     words, ones, changed = map(list, zip(*layers))

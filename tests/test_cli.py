@@ -829,6 +829,77 @@ def test_fewer_classes_than_labels_exits_2(tmp_path, command, capsys):
     assert "2 classes" in capsys.readouterr().err
 
 
+def _tiny_mnist_checkpoint(tmp_path):
+    ck = tmp_path / "ten.npz"
+    save_checkpoint(
+        ck, random_network(25, [24, 10], 10, 4, seed=3, logit_scale=1.0),
+        thresholds=np.full((25, 1), 127.5),
+    )
+    return ck
+
+
+@pytest.mark.parametrize("command, split, overrides", [
+    ("prune", None, ["data.val_size=0"]),  # prune scores val by default
+    ("eval", "val", ["data.val_size=0"]),
+    ("eval", "train", ["data.val_size=40"]),
+])
+def test_empty_scored_split_exits_2_before_any_pass(
+    tmp_path, capsys, command, split, overrides
+):
+    _tiny_mnist(tmp_path)  # 40 training-file samples
+    argv = [command, "--checkpoint", str(_tiny_mnist_checkpoint(tmp_path)),
+            "--data", str(tmp_path), "--out", str(tmp_path / "o")]
+    argv += ["--split", split] if split else []
+    for o in overrides:
+        argv += ["--set", o]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"the {split or 'val'} split is empty" in captured.err
+    assert os.listdir(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("command", ["eval", "prune"])
+def test_negative_val_size_exits_2(tmp_path, capsys, command):
+    _tiny_mnist(tmp_path)
+    rc = main([
+        command, "--checkpoint", str(_tiny_mnist_checkpoint(tmp_path)),
+        "--data", str(tmp_path), "--split", "val",
+        "--set", "data.val_size=-1", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "data.val_size must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, split, gone, outputs", [
+    ("eval", "test", ["train_images", "train_labels"], ["confusion.csv"]),
+    ("prune", "val", ["test_images", "test_labels"],
+     ["pruned.netlist", "prune_report.csv"]),
+])
+def test_scoring_reads_only_the_split_files(
+    tmp_path, command, split, gone, outputs
+):
+    """The outputs are the same when the other split's files are gone."""
+    ck = _tiny_mnist_checkpoint(tmp_path)
+    got = {}
+    for case in ("all files", "split files"):
+        data = tmp_path / case
+        data.mkdir()
+        _tiny_mnist(data)
+        if case == "split files":
+            for key in gone:
+                (data / MNIST_FILES[key]).unlink()
+        rc = main([
+            command, "--checkpoint", str(ck), "--data", str(data),
+            "--split", split, "--set", "data.val_size=8",
+            "--out", str(tmp_path / case / "o"),
+        ])
+        assert rc == 0
+        got[case] = [(tmp_path / case / "o" / f).read_bytes() for f in outputs]
+    assert got["all files"] == got["split files"]
+
+
 @pytest.mark.parametrize("case", ["not gzip", "directory"])
 def test_unreadable_dataset_file_exits_3(tmp_path, case, capsys):
     _tiny_mnist(tmp_path)

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolnet.bitmatrix import BitMatrix
 from boolnet.data import (
@@ -196,6 +198,50 @@ def test_cifar_bad_label(tmp_path):
     (tmp_path / CIFAR_TEST).write_bytes(rec.tobytes())
     with pytest.raises(IngestionError):
         load_cifar10(tmp_path)
+
+
+# ------------------------------------------------------ one-split reads
+
+
+@pytest.fixture(scope="module")
+def dataset_dirs(tmp_path_factory):
+    """name -> (loader, directory, samples in the train files)."""
+    dirs = {}
+    for name, gz in (("mnist", False), ("mnist-gz", True)):
+        path = tmp_path_factory.mktemp(name)
+        _make_mnist_dir(path, gz=gz)
+        dirs[name] = (load_mnist_idx, path, 30)
+    path = tmp_path_factory.mktemp("cifar")
+    _make_cifar_dir(path)
+    dirs["cifar"] = (load_cifar10, path, 20)
+    return dirs
+
+
+@pytest.mark.parametrize("kind", ["mnist", "mnist-gz", "cifar"])
+@pytest.mark.parametrize("val", ["0", "1", "some", "n-1", ">=n"])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    some=st.integers(0, 1000),
+    extra=st.integers(0, 5),
+)
+def test_one_split_read_equals_the_full_loads_split(
+    dataset_dirs, kind, val, seed, some, extra
+):
+    load, path, n_train = dataset_dirs[kind]
+    val_size = {
+        "0": 0, "1": 1, "some": 2 + some % (n_train - 3),
+        "n-1": n_train - 1, ">=n": n_train + extra,
+    }[val]
+    full = load(path, val_size, seed)
+    for split in ("train", "val", "test"):
+        one = load(path, val_size, seed, split=split)
+        x, y = full.split_arrays(split)
+        assert np.array_equal(one.features, x)
+        assert np.array_equal(one.labels, y) and one.labels.dtype == np.int64
+        assert (one.split == split).all()
+        assert one.provenance == full.provenance
+        assert one.num_classes == full.num_classes
 
 
 # -------------------------------------------------------------- synthetic
