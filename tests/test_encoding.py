@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -295,3 +296,68 @@ def test_encode_memory_stays_near_the_packed_result():
         tracemalloc.stop()
     assert words.nbytes == f * T * 32 * 8
     assert peak < words.nbytes + 3 * n * f
+
+
+def _golden_features(dtype, n: int, f: int = 13) -> np.ndarray:
+    """Fixed features of one dtype. Integers get a full-range column and
+    one held at the dtype's maximum, whose thresholds never hold. Floats
+    get a NaN column, +inf and -inf runs, and one column each with exactly
+    a quarter of the first 700 rows infinite, so the fitted thresholds
+    include +inf, -inf and NaN."""
+    rng = np.random.default_rng(2024)
+    if dtype == np.bool_:
+        return rng.random((n, f)) < 0.4
+    if dtype == np.float64:
+        x = rng.normal(scale=40.0, size=(n, f))
+        x[:, 1] = np.round(x[:, 1] / 16)
+        x[rng.random(n) < 0.02, 2] = np.nan
+        x[:, 3:8][rng.random((n, 5)) < 0.3] = np.inf
+        x[:, 8:][rng.random((n, f - 8)) < 0.3] = -np.inf
+        for col, value in ((6, np.inf), (9, -np.inf)):
+            x[:, col] = rng.normal(size=n)
+            x[rng.choice(700, 175, replace=False), col] = value
+        return x
+    info = np.iinfo(dtype)
+    x = rng.integers(0, 256, size=(n, f)).astype(dtype)
+    x[:, 0] = rng.integers(info.min, info.max, size=n, dtype=dtype,
+                           endpoint=True)
+    x[:, 2] = info.max
+    return x
+
+
+# dtype -> SHA-256 of the fitted thresholds (little-endian float64, NaN
+# and -0.0 made canonical) and of the encoded signal-major words.
+GOLDEN_ENCODE = {
+    "uint8": (
+        "b1d42b6df6a90c9d94b451eda12bced4cb6e1f994b6dd0177988bd2de6ae578c",
+        "02efe7ba5e8eba80069d161ce37e7ed0762077e718771919a97bb3ba3c3c5253",
+    ),
+    "int32": (
+        "af6aef9377e2ff27f7a665d9bfe2152891b82a2e97c3286209821423814f292d",
+        "2f48acb92762c1c6ec29771b8c0f0cd35df674422c8ebf44412ba4b36e031a36",
+    ),
+    "float64": (
+        "fcc0ad3d51da8d1fa138b77145e1f7fae859c95064d87c737cb126dcba904916",
+        "f0c111395e4d5b5f2b87b7cee8e21491e0dacb85844837b8ad45c38480b6cad6",
+    ),
+    "bool": (
+        "f65f2b861dfa60732920a084c1154b27b17a4ff9a21f89d27eddddc2525035e3",
+        "2907a747bcd9004fd8fc704a8d7f46f8c57bc49ca65224d9a6613eeba9655789",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCODE))
+def test_fit_thresholds_and_encode_golden(name):
+    """Thresholds fitted on 700 rows, then 1300 rows encoded: more than one
+    ENCODE_BLOCK slab, and a sample count that is no multiple of 64."""
+    x = _golden_features(np.dtype(name).type, 2000)
+    enc = fit_thresholds(x[:700], 3)
+    t = enc.thresholds + 0.0
+    t = np.where(np.isnan(t), np.nan, t)
+    words = encode(enc, x[700:]).to_signal_words()
+    got = tuple(
+        hashlib.sha256(np.ascontiguousarray(a, dtype=d).tobytes()).hexdigest()
+        for a, d in ((t, "<f8"), (words, "<u8"))
+    )
+    assert got == GOLDEN_ENCODE[name]
