@@ -125,11 +125,11 @@ def _limit(idx: np.ndarray, cap: int | None, seed: int) -> np.ndarray:
 
 
 def _encode(
-    encoder: ThermometerEncoder | None, features: np.ndarray
+    encoder: ThermometerEncoder | None, features: np.ndarray, read=None
 ) -> BitMatrix:
-    """Thermometer bits, or the features themselves when they are 0/1."""
+    """Thermometer bits (rows outside `read` zero), or 0/1 features as is."""
     if encoder is not None:
-        return encode(encoder, features)
+        return encode(encoder, features, read)
     if features.size and features.max() > 1:
         raise ConfigError(
             "features are not 0/1 and no thermometer thresholds are given; "
@@ -277,12 +277,13 @@ def _encoded_split_for_circuit(
         None if thresholds is None
         else ThermometerEncoder(np.asarray(thresholds))
     )
-    bits = _encode(encoder, feats)
-    if bits.n_signals != circuit.input_width:
+    width = feats.shape[1] if encoder is None else encoder.output_width
+    if width != circuit.input_width:
         raise ConfigError(
-            f"encoded width {bits.n_signals} != circuit input "
-            f"{circuit.input_width}"
+            f"encoded width {width} != circuit input {circuit.input_width}"
         )
+    # Unread rows stay zero: no pruning pass adds a layer-0 read.
+    bits = _encode(encoder, feats, circuit.read_inputs())
     if labels.size and labels.max() >= circuit.num_classes:
         raise ConfigError(
             f"the {args.split} split has labels up to {labels.max()}, the "

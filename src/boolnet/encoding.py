@@ -5,7 +5,9 @@ iff the value exceeds threshold i. Quantile levels are i/(T+1) for
 i = 1..T with linear interpolation between order statistics, so the T+1
 gaps carry equal probability mass under the training distribution.
 `encode` packs (features x block) slabs straight into signal-major
-words; integer features of up to 32 bits compare in their own dtype.
+words, only the rows of a `read` mask if given (the rest stay zero); a
+slab transposes as uint64 words, then as the squares inside them, in cache.
+Integer features of up to 32 bits compare in their own dtype.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .bitmatrix import WORD_BITS, BitMatrix
 from .errors import StructuralError
 
 # Samples per transposed slab; a multiple of 8, so a slab fills whole bytes.
-ENCODE_BLOCK = 1024
+ENCODE_BLOCK = 512
+ENCODE_ROWS = 512  # signal rows compared at once: 256 KB with a slab
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,10 @@ def fit_thresholds(train_data, T: int) -> ThermometerEncoder:
     return ThermometerEncoder(thresholds.T)
 
 
-def encode(encoder: ThermometerEncoder, data) -> BitMatrix:
+def encode(encoder: ThermometerEncoder, data, read=None) -> BitMatrix:
     """Binarize: bit (f, i) = value_f > threshold_{f,i}; per feature the
-    bits form a prefix of ones. Signal f*T + i is bit i of feature f."""
+    bits form a prefix of ones. Signal f*T + i is bit i of feature f.
+    With a bool mask `read`, only its signals are computed; others are 0."""
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[1] != encoder.num_features:
         raise StructuralError(
@@ -74,27 +78,35 @@ def encode(encoder: ThermometerEncoder, data) -> BitMatrix:
         )
     if data.dtype.kind not in "biuf":
         data = data.astype(np.float64)  # numeric strings parse; others raise
-    n, T = data.shape[0], encoder.bits_per_feature
+    (n, F), T = data.shape, encoder.bits_per_feature
     # Float, bool and 64-bit int features compare with the float64
     # thresholds as if cast to float64 first, rounding as that cast does.
     thresholds, compare = encoder.thresholds, np.greater
     never = np.zeros(thresholds.shape, dtype=bool)
     if data.dtype.kind in "iu" and data.dtype.itemsize < 8:
         # Integer x > t iff x >= floor(t) + 1, in x's dtype. A NaN threshold
-        # or one at or above its maximum never holds: cleared after packing.
+        # or one at or above its maximum never holds: its row stays zero.
         info = np.iinfo(data.dtype)
         k = np.floor(thresholds) + 1
         never = ~(k <= info.max)
         k = np.clip(np.where(never, info.max, k), info.min, None)
         thresholds, compare = k.astype(data.dtype), np.greater_equal
+    rows = np.flatnonzero(~never.ravel() & (True if read is None else read))
+    feats, limits = rows // T, thresholds.ravel()[rows][:, None]
     # The words as bytes, signal f*T + i in row f*T + i; padding stays 0.
-    out = np.zeros((data.shape[1] * T, -(-n // WORD_BITS) * 8), np.uint8)
+    out = np.zeros((F * T, -(-n // WORD_BITS) * 8), np.uint8)
+    m = 8 // data.dtype.itemsize  # features per uint64 word
+    block = np.zeros((ENCODE_BLOCK, -(-F // m) * m), data.dtype)
+    words = block.view(np.uint64).reshape(ENCODE_BLOCK // m, m, -1)
     for lo in range(0, n, ENCODE_BLOCK):
-        slab = np.ascontiguousarray(data[lo : lo + ENCODE_BLOCK].T)
-        bits = np.empty(slab.shape, dtype=bool)  # one plane, reused
-        cols = slice(lo // 8, (lo + slab.shape[1] + 7) // 8)
-        for i in range(T):
-            compare(slab, thresholds[:, i : i + 1], out=bits)
-            out[i::T, cols] = np.packbits(bits, axis=1, bitorder="little")
-    out[never.ravel()] = 0
+        s = min(ENCODE_BLOCK, n - lo)
+        block[:s, :F] = data[lo : lo + s]
+        sq = np.ascontiguousarray(words.transpose(2, 0, 1)).view(data.dtype)
+        sq = sq.reshape(-1, ENCODE_BLOCK // m, m, m).transpose(0, 3, 1, 2)
+        slab = np.ascontiguousarray(sq).reshape(-1, ENCODE_BLOCK)[:, :s]
+        cols = slice(lo // 8, (lo + s + 7) // 8)
+        for c in range(0, rows.size, ENCODE_ROWS):
+            r = slice(c, c + ENCODE_ROWS)
+            bits = compare(slab[feats[r]], limits[r])
+            out[rows[r], cols] = np.packbits(bits, axis=1, bitorder="little")
     return BitMatrix(out.view(np.uint64), n)

@@ -3,7 +3,10 @@
 A trained network is a stack of layers of 2-input Boolean gates. Each gate
 carries 16 logits (one per possible truth table) and, per input slot, C
 candidate source indices with a score each. Hardening takes the argmax of
-both and yields a static circuit evaluable with pure bit operations.
+both and yields a static circuit evaluable with pure bit operations. The
+word kernel makes each gate a multiplexer of its table bits, so an input
+the table ignores cancels out: eval and prune encode only the inputs that
+layer 0 reads (`HardCircuit.read_inputs`).
 
 Truth-table code convention: code n's 4-bit table is the binary expansion
 of n over inputs (a, b) in order (0,0), (0,1), (1,0), (1,1), i.e.
@@ -30,6 +33,7 @@ from .bitmatrix import WORD_BITS, BitMatrix
 from .errors import StructuralError
 
 N_CODES = 16
+KERNEL_BLOCK_BYTES = 1 << 17  # a word-kernel gate block stays in L2 cache
 
 # Named codes for the tables that pruning and tests refer to by function.
 CONST0 = 0
@@ -311,6 +315,13 @@ class HardCircuit(_Network):
     def n_gates(self) -> int:
         return sum(self.layer_widths)
 
+    def read_inputs(self) -> np.ndarray:
+        """Bool mask of the inputs that some layer-0 table depends on."""
+        lay, read = self.layers[0], np.zeros(self.input_width, dtype=bool)
+        read[lay.in0[DEPENDS_A[lay.code]]] = True
+        read[lay.in1[DEPENDS_B[lay.code]]] = True
+        return read
+
     def validate(self) -> None:
         super().validate()
         for i, lay in enumerate(self.layers):
@@ -325,8 +336,8 @@ class HardCircuit(_Network):
 
 
 def harden(model: NetworkModel) -> HardCircuit:
-    """Collapse logits and candidate scores to a fixed circuit by argmax."""
-    model.validate()
+    """Collapse logits and candidate scores to a fixed circuit by argmax.
+    The model is not validated again: `load_checkpoint` and `train` do."""
     layers = []
     for lay in model.layers:
         sel = lay.selected_slots()
@@ -352,19 +363,25 @@ def _valid_words_mask(n_samples: int) -> np.ndarray:
 def _eval_layer_words(
     layer: HardLayer, sig_words: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
-    """Word-parallel layer evaluation on signal-major packed activations."""
-    a = sig_words[layer.in0]
-    b = sig_words[layer.in1]
-    na = ~a
-    nb = ~b
-    bits = [
-        np.where((layer.code >> j) & 1, ~np.uint64(0), np.uint64(0))[:, None]
-        for j in range(4)
-    ]
-    out = (bits[0] & na & nb) | (bits[1] & na & b) | (bits[2] & a & nb) | (
-        bits[3] & a & b
-    )
-    out &= valid  # keep padding bits zero for later popcounts
+    """Gates as multiplexers of table-bit words t_j, a block at a time."""
+    bits = (layer.code[:, None] >> np.arange(4)) & 1
+    t0, t1, t2, t3 = (0 - bits.T[:, :, None]).astype(np.uint64)
+    step = max(1, KERNEL_BLOCK_BYTES // (8 * max(1, valid.size)))
+    out = np.empty((layer.n_gates, valid.size), np.uint64)
+    scratch = np.empty((3, min(step, layer.n_gates), valid.size), np.uint64)
+    for first in range(0, layer.n_gates, step):
+        g = slice(first, first + step)
+        o = out[g]
+        a, b, x = scratch[:, : o.shape[0]]
+        np.take(sig_words, layer.in0[g], axis=0, out=a)
+        np.take(sig_words, layer.in1[g], axis=0, out=b)
+        np.bitwise_and(b, t0[g] ^ t1[g], out=o)
+        o ^= t0[g]  # lo = t0 ^ ((t0 ^ t1) & b)
+        np.bitwise_and(b, t0[g] ^ t1[g] ^ t2[g] ^ t3[g], out=x)
+        x ^= t0[g] ^ t2[g]  # lo ^ hi, for hi = t2 ^ ((t2 ^ t3) & b)
+        x &= a
+        o ^= x  # lo ^ ((lo ^ hi) & a)
+        o &= valid  # keep padding bits zero for later popcounts
     return out
 
 

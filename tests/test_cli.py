@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from boolnet import cli, pruning
+from boolnet import cli, encoding, pruning
 from boolnet import model as model_mod
 from boolnet.bitmatrix import BitMatrix
 from boolnet.cli import main
@@ -836,6 +836,50 @@ def _tiny_mnist_checkpoint(tmp_path):
         thresholds=np.full((25, 1), 127.5),
     )
     return ck
+
+
+def test_unread_input_rows_change_no_output(tmp_path, monkeypatch):
+    """Eval and prune compute only the input rows that layer 0 reads and
+    leave the rest zero. Each feature's first threshold lies below every
+    pixel, so many unread rows would be all ones; every output file must
+    still equal that of a run that encodes every row."""
+    _tiny_mnist(tmp_path)
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(
+        ck, random_network(75, [24, 24, 10], 10, 4, seed=5, logit_scale=1.0),
+        thresholds=np.tile([-1.0, 100.0, 200.0], (25, 1)),
+    )
+
+    def run(sub):
+        common = ["--checkpoint", str(ck), "--data", str(tmp_path),
+                  "--set", "data.val_size=8"]
+        assert main([
+            "prune", *common, "--out", str(tmp_path / sub / "prune"),
+            "--greedy-threshold", "0.8", "--similarity-c", "0.6",
+        ]) == 0
+        assert main(["eval", *common, "--out", str(tmp_path / sub)]) == 0
+        return [
+            (tmp_path / sub / name).read_bytes()
+            for name in ("prune/pruned.netlist", "prune/prune_report.csv",
+                         "confusion.csv")
+        ]
+
+    masks = []
+
+    def recorded(encoder, data, read=None):
+        unread = encoding.encode(encoder, data).to_signal_words()[~read]
+        masks.append((read.sum(), unread.any()))
+        return encoding.encode(encoder, data, read)
+
+    monkeypatch.setattr(cli, "encode", recorded)
+    partial = run("partial")
+    assert len(masks) == 2
+    assert all(n_read < 75 and ones for n_read, ones in masks)
+    def every_row(encoder, data, read=None):
+        return encoding.encode(encoder, data)
+
+    monkeypatch.setattr(cli, "encode", every_row)
+    assert run("full") == partial
 
 
 @pytest.mark.parametrize("command, split, overrides", [

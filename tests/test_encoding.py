@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolnet.bitmatrix import WORD_BITS
-from boolnet.encoding import ThermometerEncoder, encode, fit_thresholds
+from boolnet.encoding import (
+    ENCODE_BLOCK,
+    ThermometerEncoder,
+    encode,
+    fit_thresholds,
+)
 from boolnet.errors import StructuralError
 
 
@@ -201,6 +206,39 @@ def test_encode_words_bit_equal_sample_major_formula(n, T, dtype):
     assert encode(enc, np.asfortranarray(data)) == got
     if dtype != np.float64 and np.can_cast(dtype, np.float32):
         assert encode(enc, data.astype(np.float32)) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from(
+        [np.uint8, np.uint16, np.int32, np.float32, np.float64, np.bool_]
+    ),
+    n=st.integers(0, 2 * ENCODE_BLOCK + 70),
+    f=st.integers(1, 13),
+    T=st.integers(1, 5),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_read_row_encode_equals_full_encode_on_read_rows(
+    dtype, n, f, T, share, seed
+):
+    """Only the signals of the `read` mask are computed: each equals the
+    full encode's row, and every other row is zero. Integer features get
+    a threshold beyond their maximum, whose row never holds."""
+    rng = np.random.default_rng(seed)
+    pool_dtype = np.float64 if dtype == np.float32 else dtype
+    thresholds = rng.choice(_threshold_pool(pool_dtype), size=(f, T))
+    if np.dtype(dtype).kind in "iu":
+        thresholds[:, 0] = np.iinfo(dtype).max + 0.5
+    thresholds.sort(axis=1)
+    data = _features(rng, pool_dtype, n, f).astype(dtype)
+    read = rng.random(f * T) < share
+    enc = ThermometerEncoder(thresholds)
+    full = encode(enc, data).to_signal_words()
+    got = encode(enc, data, read)
+    assert got.shape == (n, f * T)
+    assert np.array_equal(got.to_signal_words()[read], full[read])
+    assert not got.to_signal_words()[~read].any()
 
 
 _FIT_KINDS = ["uint8", "uint16", "int8", "int16", "int64", "bool", "float",

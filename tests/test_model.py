@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolnet import model as model_mod
 from boolnet.bitmatrix import BitMatrix
 from boolnet.errors import StructuralError
 from boolnet.model import (
@@ -75,6 +76,21 @@ def test_dependency_masks():
         )
         assert DEPENDS_A[code] == dep_a
         assert DEPENDS_B[code] == dep_b
+
+
+def test_read_inputs_follow_the_tables():
+    """Layer 0's read mask holds an input only where a table depends on
+    the slot that holds it; later layers never count."""
+    layer0 = HardLayer(
+        code=[PROJ_A, PROJ_B, CONST1, AND, NOT_A],
+        in0=[0, 1, 2, 3, 5],
+        in1=[6, 7, 8, 4, 9],
+    )
+    layer1 = HardLayer(code=[AND, OR], in0=[0, 1], in1=[2, 3])
+    circuit = HardCircuit(10, [layer0, layer1], 2, 1.0)
+    read = circuit.read_inputs()
+    assert read.dtype == bool and read.shape == (10,)
+    assert np.flatnonzero(read).tolist() == [0, 3, 4, 5, 7]
 
 
 # ------------------------------------------------------------- sampling
@@ -230,6 +246,56 @@ def test_circuit_eval_matches_naive_interpreter(seed, batch):
     for words, ref in zip(got, want):
         bm = BitMatrix.from_signal_words(words, batch)
         assert np.array_equal(bm.to_array(), ref)
+
+
+def _minterm_words(layer: HardLayer, words, valid) -> np.ndarray:
+    """The layer's words as the OR of its table's four minterms."""
+    a, b = words[layer.in0], words[layer.in1]
+    bits = [
+        np.where((layer.code >> j) & 1, ~np.uint64(0), np.uint64(0))[:, None]
+        for j in range(4)
+    ]
+    out = (bits[0] & ~a & ~b) | (bits[1] & ~a & b) | (bits[2] & a & ~b) | (
+        bits[3] & a & b
+    )
+    return out & valid
+
+
+@pytest.mark.parametrize(
+    "n_samples, n_gates, block_gates",
+    [
+        (1, 16, None),  # one word
+        (63, 35, 4),  # blocks of 4 gates, a partial last block
+        (64, 16 * 7 + 3, 16),
+        (1000, 50, 7),  # many words
+        (4161, 700, None),  # blocks of the default size, a partial last one
+    ],
+)
+def test_word_kernel_equals_minterm_formula(
+    monkeypatch, n_samples, n_gates, block_gates
+):
+    """Every code, on random words whose padding bits are zero; the
+    kernel's own padding bits stay zero."""
+    rng = np.random.default_rng(n_samples + n_gates)
+    n_words = -(-n_samples // 64)
+    if block_gates is not None:
+        monkeypatch.setattr(
+            model_mod, "KERNEL_BLOCK_BYTES", 8 * n_words * block_gates
+        )
+    step = max(1, model_mod.KERNEL_BLOCK_BYTES // (8 * n_words))
+    assert n_gates % step and (n_gates > step or block_gates is None)
+    valid = model_mod._valid_words_mask(n_samples)
+    words = rng.integers(0, 1 << 64, size=(40, n_words), dtype=np.uint64)
+    words &= valid
+    layer = HardLayer(
+        code=np.arange(n_gates) % 16,
+        in0=rng.integers(0, 40, size=n_gates),
+        in1=rng.integers(0, 40, size=n_gates),
+    )
+    got = model_mod._eval_layer_words(layer, words, valid)
+    assert got.shape == (n_gates, n_words) and got.dtype == np.uint64
+    assert np.array_equal(got, _minterm_words(layer, words, valid))
+    assert not (got & ~valid).any()
 
 
 def test_eval_batch_split_invariance():

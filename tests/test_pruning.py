@@ -491,6 +491,27 @@ def test_incremental_profile_equals_fresh_profile(make, order):
     assert {"no row changed", ("const", True), ("gate", False)} <= seen
 
 
+@pytest.mark.parametrize("order", [
+    *((name,) for name in PASSES),
+    ("trivial", "equivalence", "greedy", "similarity"),  # the CLI's order
+])
+@pytest.mark.parametrize("make", [_redundant_circuit, _random_circuit])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_pass_adds_a_layer0_read(seed, make, order):
+    """Eval and prune encode only the inputs that layer 0 of the loaded
+    circuit reads and leave the others zero. That is sound only if every
+    pass reads a subset of the inputs the circuit before it read."""
+    rng = np.random.default_rng(seed)
+    circuit = make(rng, 96, [40, 40, 20])  # at most 80 of 96 inputs read
+    bits = _random_inputs(rng, 300, 96)
+    profile = profile_activations(circuit, bits)
+    for name in order:
+        read = circuit.read_inputs()
+        circuit, report = PASSES[name](circuit, profile)
+        assert not (circuit.read_inputs() & ~read).any()
+        profile = profile_activations(circuit, bits)
+
+
 def test_final_rows_change_only_when_outputs_do():
     rng = np.random.default_rng(3)
     circuit = _redundant_circuit(rng, 8, [32, 32, 16])
