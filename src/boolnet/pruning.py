@@ -32,46 +32,50 @@ from .model import (
     _eval_layer_words,
     _valid_words_mask,
     eval_circuit_layers,
-    eval_code,
 )
 
 SUPPORT_LIMIT = 24
 SIGNATURE_WORDS = 16  # 1024 random vectors propose equivalence merges
+PREFIX_WORDS = 32  # words of a row that bound a pair's count before popcounting all
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConeFunction:
     """A gate's exact Boolean function over primary inputs.
 
-    `support` lists only variables the function genuinely depends on.
-    `table` is flat with canonical bit order: entry r gives the value
-    under the assignment where bit v of r is the value of support[v].
-    Equality of (support, table) is therefore semantic equality.
+    `support` lists, in increasing order, only variables the function
+    genuinely depends on. `bits` is the truth table as one int: bit r is
+    the value under the assignment where bit v of r is the value of
+    support[v], so a 24-input table is a 2 MB int. Equality of (support,
+    bits) is therefore semantic equality. The constructor also takes the
+    table as bytes, one 0/1 byte per entry, which `table` returns.
     """
 
     support: tuple[int, ...]
-    table: bytes  # 2^len(support) entries, one byte each, 0/1
+    bits: int = field(repr=False)  # past 4300 digits, str(int) raises
 
-    def __post_init__(self):
-        if len(self.table) != 1 << len(self.support):
-            raise StructuralError("cone table length != 2^|support|")
+    def __init__(self, support: tuple[int, ...], table: bytes | int):
+        if isinstance(table, bytes):
+            if len(table) != 1 << len(support):
+                raise StructuralError("cone table length != 2^|support|")
+            packed = np.packbits(np.frombuffer(table, np.uint8), bitorder="little")
+            table = int.from_bytes(packed.tobytes(), "little")
+        object.__setattr__(self, "support", tuple(support))
+        object.__setattr__(self, "bits", table)
 
     @classmethod
     def constant(cls, bit: int) -> "ConeFunction":
-        return cls((), bytes([bit & 1]))
+        return cls((), bit & 1)
 
     @classmethod
     def input_var(cls, i: int) -> "ConeFunction":
-        return cls((i,), bytes([0, 1]))
+        return cls((i,), 0b10)
 
-    @classmethod
-    def from_nd(cls, support: tuple[int, ...], nd: np.ndarray) -> "ConeFunction":
-        flat = np.ravel(nd.astype(np.uint8), order="F")
-        return cls(support, flat.tobytes())
-
-    def nd(self) -> np.ndarray:
-        arr = np.frombuffer(self.table, dtype=np.uint8)
-        return arr.reshape((2,) * len(self.support), order="F")
+    @property
+    def table(self) -> bytes:
+        n = 1 << len(self.support)
+        packed = np.frombuffer(self.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").tobytes()
 
     @property
     def is_constant(self) -> bool:
@@ -81,39 +85,70 @@ class ConeFunction:
     def constant_value(self) -> int:
         if not self.is_constant:
             raise StructuralError("cone is not constant")
-        return self.table[0]
+        return self.bits
 
     def evaluate(self, assignment: dict[int, int]) -> int:
         r = 0
         for v, var in enumerate(self.support):
             r |= (assignment[var] & 1) << v
-        return self.table[r]
+        return (self.bits >> r) & 1
+
+
+def _low(v: int, m: int) -> int:
+    """Table over m inputs that is 1 where input v is 0 (v < m)."""
+    t, width = (1 << (1 << v)) - 1, 2 << v
+    while width < 1 << m:
+        t |= t << width
+        width <<= 1
+    return t
+
+
+def _widen(cone: ConeFunction, union: tuple[int, ...]) -> int:
+    """Table of `cone` over `union`, a sorted superset of its support: at
+    each missing input's position p, the 2^p-bit chunks spread to every
+    other slot and then fill the slots between (mask-and-shift steps)."""
+    t, m = cone.bits, len(cone.support)
+    for p, var in enumerate(union):
+        if var not in cone.support:
+            for v in range(m - 1, p - 1, -1):
+                t |= t << (1 << v)
+                t &= _low(v, m + 1)
+            t, m = t | t << (1 << p), m + 1
+    return t
+
+
+def _gate(code: int, a: int, b: int, k: int) -> int:
+    """Gate `code` on int tables a, b over k inputs, in algebraic normal
+    form; f_xy is the code's bit 2x + y, the value at a = x, b = y."""
+    f00, f01, f10, f11 = (code >> j & 1 for j in range(4))
+    t = ((1 << (1 << k)) - 1) * f00 ^ a * (f00 ^ f10) ^ b * (f00 ^ f01)
+    return t ^ (a & b) if f00 ^ f01 ^ f10 ^ f11 else t
 
 
 def compose_cones(
     code: int, a: ConeFunction, b: ConeFunction, limit: int = SUPPORT_LIMIT
 ) -> ConeFunction:
-    """Apply a gate table to two child cones and reduce the support."""
+    """Apply a gate table to two child cones and reduce the support.
+
+    Both child tables are widened to the union support, combined by
+    bitwise ops on the ints, and every input the result does not read is
+    dropped again."""
     union = tuple(sorted(set(a.support) | set(b.support)))
-    if len(union) > limit:
-        raise OversizedConeError(-1, -1, len(union), limit)
-    sa = set(a.support)
-    sb = set(b.support)
-    nd_a = a.nd()[
-        tuple(slice(None) if v in sa else np.newaxis for v in union)
-    ]
-    nd_b = b.nd()[
-        tuple(slice(None) if v in sb else np.newaxis for v in union)
-    ]
-    out = eval_code(code, *np.broadcast_arrays(nd_a, nd_b))
+    k = len(union)
+    if k > limit:
+        raise OversizedConeError(-1, -1, k, limit)
+    t = _gate(code, _widen(a, union), _widen(b, union), k)
     support = list(union)
-    for axis in range(len(support) - 1, -1, -1):
-        lo = out.take(0, axis=axis)
-        hi = out.take(1, axis=axis)
-        if np.array_equal(lo, hi):
-            out = lo
-            del support[axis]
-    return ConeFunction.from_nd(tuple(support), out)
+    for p in range(k - 1, -1, -1):
+        m = len(support)
+        low = _low(p, m)
+        if not (t ^ t >> (1 << p)) & low:  # t does not read input p
+            t &= low  # pack the chunks where input p is 0: _widen reversed
+            for v in range(p + 1, m):
+                t |= t >> (1 << (v - 1))
+                t &= _low(v, m)
+            del support[p]
+    return ConeFunction(tuple(support), t)
 
 
 def _cone(
@@ -291,13 +326,14 @@ def logic_equivalence_prune(
     Simulation proposes, cones prove. The circuit is evaluated once on
     fixed random inputs; equal functions give equal signature rows, so
     only gates that share a row, or whose row is all-0 or all-1, can
-    merge or be constant, and only those get exact cones. Per layer, a
-    gate's class is its (signature group, cone) pair; the lowest-indexed
-    member of each class is kept and readers of the rest move to it.
-    Gates with constant cones become literal constant gates; their
-    duplicates reroute to the lowest-indexed one. Output bits are
-    preserved on every input; the shared rewrite's sweep then reclaims
-    dead gates.
+    merge or be constant. Constant-coded proposals are settled from
+    their codes, and only the others get exact cones (int truth tables,
+    see `ConeFunction`). Per layer, a gate's class is its (signature
+    group, cone) pair; the lowest-indexed member of each class is kept
+    and readers of the rest move to it. Each constant class is settled
+    with array ops: its lowest-indexed member becomes a literal constant
+    gate and the rest reroute to it. Output bits are preserved on every
+    input; the shared rewrite's sweep then reclaims dead gates.
     """
     signatures = eval_circuit_layers(
         circuit, _signature_inputs(circuit.input_width)
@@ -306,7 +342,7 @@ def logic_equivalence_prune(
     rep: dict = {}
     reroute: dict = {}
     memo: dict = {}
-    for li, sig in enumerate(signatures):
+    for li, (sig, lay) in enumerate(zip(signatures, circuit.layers)):
         is_final = li == len(signatures) - 1
         proposed = ~sig.any(axis=1) | ~(~sig).any(axis=1)
         group = np.zeros(len(sig), dtype=np.int64)
@@ -318,30 +354,33 @@ def logic_equivalence_prune(
             proposed |= sizes[group] > 1
 
         # The representative of a distinct function is its lowest-indexed
-        # gate: the first seen under its (signature group, cone) key.
+        # gate: the first seen under its (signature group, cone) key, or
+        # in its constant class. Constant-coded gates need no cone.
+        bit = np.select([lay.code == CONST0, lay.code == CONST1], [0, 1], -1)
         first: dict = {}
-        cones: dict[int, ConeFunction] = {}
         rep_of = np.arange(len(sig), dtype=np.int64)
-        for gi in np.flatnonzero(proposed).tolist():
-            cone = cones[gi] = _cone(circuit, li, gi, memo, limit)
-            rep_of[gi] = first.setdefault((int(group[gi]), cone), gi)
+        for gi in np.flatnonzero(proposed & (bit < 0)).tolist():
+            cone = _cone(circuit, li, gi, memo, limit)
+            if cone.is_constant:
+                bit[gi] = cone.bits
+            else:
+                rep_of[gi] = first.setdefault((int(group[gi]), cone), gi)
+        gates = np.flatnonzero(bit >= 0)
+        _, lead, cls = np.unique(bit[gates], return_index=True, return_inverse=True)
+        rep_of[gates] = gates[lead][cls]
 
         # Constant cones become literal constant gates. In the final
         # layer every such gate is rewritten (none can be merged away);
         # elsewhere only class representatives need the normal form.
-        gates = [
-            gi for gi, cone in cones.items()
-            if cone.is_constant and (rep_of[gi] == gi or is_final)
-        ]
-        const[li] = (gates, [cones[gi].constant_value for gi in gates])
         if not is_final:
+            gates = gates[lead]
             rep[li] = rep_of
-            for gi, cone in cones.items():
-                if rep_of[gi] != gi:
-                    reroute[(li, gi)] = (
-                        ("const", cone.constant_value) if cone.is_constant
-                        else ("gate", li, int(rep_of[gi]))
-                    )
+            for gi in np.flatnonzero(rep_of != np.arange(len(sig))).tolist():
+                reroute[(li, gi)] = (
+                    ("const", int(bit[gi])) if bit[gi] >= 0
+                    else ("gate", li, int(rep_of[gi]))
+                )
+        const[li] = (gates, bit[gates])
     return _rewrite(circuit, "logic-equivalence", const, rep, reroute)
 
 
@@ -440,8 +479,13 @@ def phi_from_counts(n: int, ni, nj, nij):
     """Correlation of two binary variables from joint popcounts.
 
     On binary data the rank-based correlation coefficient reduces to this
-    closed form; inputs are exact integers so equality comparisons with
-    1.0 are meaningful at profiling-set sizes.
+    closed form. The numerator is exact in float64, but the denominator
+    is rounded: two identical rows need not read exactly 1.0 (at n = 10000,
+    2586 of the 9999 counts give 0.9999999999999998), so `rho >= 1.0`
+    misses some identical pairs. Deciding rho >= c on integers is an open
+    ROADMAP item ("Exact rho >= c decisions"); the count band and the
+    prefix bound of `_pair_correlations` use this arithmetic too and must
+    change with it.
     """
     ni = np.asarray(ni, dtype=np.float64)
     nj = np.asarray(nj, dtype=np.float64)
@@ -466,35 +510,48 @@ def _pair_correlations(
     from its own. No pair is lost: in float64 the numerator is an exact
     integer and the denominator does not depend on n_ij, so a computed
     rho never exceeds its computed bound, and the band end has slack for
-    rounding. Rows go in blocks whose AND temporary is at most about
-    `block_bytes`, each block's columns ending at its widest band."""
+    rounding. Within the band, only pairs whose first PREFIX_WORDS words
+    allow rho >= c are popcounted in full: with prefix counts p,
+    n_ij <= p_ij + min(n_i - p_i, n_j - p_j), and a rho computed from that
+    bound is no less than the true one, by the same argument. Both stages
+    go in blocks of at most about `block_bytes`; row blocks end their
+    columns at their widest band."""
     order = np.argsort(ones, kind="stable")
     words, ones = words[order], ones[order]
     g, w = words.shape
     with np.errstate(invalid="ignore"):  # n = 0 gives NaN: the whole row
         limit = n * ones / (ones + c * c * (n - ones))
     end = np.searchsorted(ones, limit * (1 + 1e-9), side="right")
-    total = np.uint16 if n <= 0xFFFF else np.int64  # no count exceeds n
-    block = max(1, block_bytes // max(1, g * w * 8))
-    found = []
+    pre = min(PREFIX_WORDS, w)
+    rest = ones - np.bitwise_count(words[:, :pre]).sum(axis=1, dtype=np.int64)
+    block = max(1, block_bytes // max(1, g * pre * 8))
+    pairs = [(np.empty(0, np.intp),) * 2]
     for lo in range(0, g, block):
         hi = min(lo + block, g)
         e = end[lo:hi].max()
-        # popcount of pairwise ANDs: (block, e - lo, W) -> (block, e - lo)
-        inter = np.bitwise_count(
-            words[lo:hi, None, :] & words[None, lo:e, :]
-        ).sum(axis=2, dtype=total)
-        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, lo:e], inter)
+        # prefix popcount of pairwise ANDs: (block, e - lo, pre) -> (block, e - lo)
+        bound = np.bitwise_count(
+            words[lo:hi, None, :pre] & words[None, lo:e, :pre]
+        ).sum(axis=2, dtype=np.uint16) + np.minimum(
+            rest[lo:hi, None], rest[None, lo:e]
+        )
+        rho = phi_from_counts(n, ones[lo:hi, None], ones[None, lo:e], bound)
         ii, jj = np.nonzero(rho >= c)
         upper = ii < jj
-        ii, jj = ii[upper], jj[upper]
-        a, b = order[ii + lo], order[jj + lo]  # back to layer indices
-        found += zip(
-            rho[ii, jj].tolist(),
-            np.minimum(a, b).tolist(),
-            np.maximum(a, b).tolist(),
-        )
-    return found
+        pairs.append((ii[upper] + lo, jj[upper] + lo))
+    ii, jj = (np.concatenate(idx) for idx in zip(*pairs))
+    total = np.uint16 if n <= 0xFFFF else np.int64  # no count exceeds n
+    inter = np.empty(ii.size, dtype=total)
+    step = max(1, block_bytes // (24 * w))  # three (step, w) temporaries
+    for s in range(0, ii.size, step):
+        both = words[ii[s:s + step]] & words[jj[s:s + step]]
+        inter[s:s + step] = np.bitwise_count(both).sum(axis=1, dtype=total)
+    rho = phi_from_counts(n, ones[ii], ones[jj], inter)
+    keep = rho >= c
+    a, b = order[ii[keep]], order[jj[keep]]  # back to layer indices
+    return list(zip(
+        rho[keep].tolist(), np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
+    ))
 
 
 def similarity_prune(
@@ -507,9 +564,9 @@ def similarity_prune(
     the higher-indexed gate's readers move to the lower-indexed one.
     Zero-variance gates are skipped; the final layer is left alone since
     the head reads it positionally. Lossy for c < 1. Only pairs whose
-    activation counts allow rho >= c are popcounted, a band of the gates
-    sorted by count; no pair at or above c is lost, as a computed rho
-    never exceeds its computed count bound (see `_pair_correlations`).
+    activation counts, then prefix counts, allow rho >= c are popcounted
+    in full; no pair at or above c is lost, as a computed rho never
+    exceeds its computed count bound (see `_pair_correlations`).
     """
     if not 0 < c <= 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1], got {c}")

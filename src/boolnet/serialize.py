@@ -29,8 +29,11 @@ def dump_netlist(circuit: HardCircuit) -> str:
         "layers " + " ".join(str(w) for w in circuit.layer_widths) + "\n",
     ]
     for li, lay in enumerate(circuit.layers):
-        gates = zip(lay.code.tolist(), lay.in0.tolist(), lay.in1.tolist())
-        lines += [f"{li} {g} {c} {a} {b}\n" for g, (c, a, b) in enumerate(gates)]
+        rows = np.stack([
+            np.full(lay.n_gates, li), np.arange(lay.n_gates),
+            lay.code, lay.in0, lay.in1,
+        ], axis=1)
+        lines.append("%d %d %d %d %d\n" * lay.n_gates % tuple(rows.ravel().tolist()))
     return "".join(lines)
 
 

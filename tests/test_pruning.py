@@ -23,6 +23,7 @@ from boolnet.model import (
     HardCircuit,
     HardLayer,
     eval_circuit,
+    eval_circuit_layers,
     harden,
     random_network,
 )
@@ -159,6 +160,73 @@ def test_cone_of_bad_location():
         cone_of(circuit, 1, 0)
     with pytest.raises(StructuralError):
         cone_of(circuit, 0, 99)
+
+
+def test_cones_equal_exhaustive_eval_on_16_inputs():
+    rng = np.random.default_rng(12)
+    circuit = _random_circuit(rng, 16, [32, 24, 16, 8])
+    for lay in circuit.layers:  # tables that read both inputs
+        lay.code[:] = rng.choice([AND, OR, XOR, XNOR, NAND, NOR], size=lay.n_gates)
+    x = _all_inputs(16)
+    bits = x.to_array()
+    acts = eval_circuit_layers(circuit, x)
+    widest = 0
+    for li, layer_cones in enumerate(all_cones(circuit)):
+        want = BitMatrix.from_signal_words(acts[li], 1 << 16).to_array()
+        for gi, cone in enumerate(layer_cones):
+            k = len(cone.support)
+            widest = max(widest, k)
+            table = np.frombuffer(cone.table, dtype=np.uint8)
+            r = bits[:, list(cone.support)].astype(np.int64) @ (1 << np.arange(k))
+            assert np.array_equal(table[r], want[:, gi])
+            nd = table.reshape((2,) * k, order="F")  # every support input is read
+            for v in range(k):
+                assert not np.array_equal(nd.take(0, axis=v), nd.take(1, axis=v))
+    assert widest >= 12
+
+
+def _parity(inputs) -> ConeFunction:
+    cone = ConeFunction.constant(0)
+    for i in inputs:
+        cone = compose_cones(XOR, cone, ConeFunction.input_var(i))
+    return cone
+
+
+def test_24_input_cone_stays_small():
+    # The same cone as one byte per entry was a 16 MB table.
+    a, b = _parity(range(0, 24, 2)), _parity(range(1, 24, 2))
+    tracemalloc.start()
+    try:
+        cone = compose_cones(XOR, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+    assert cone.support == tuple(range(24))
+    assert repr(cone) == f"ConeFunction(support={tuple(range(24))})"  # no 2 MB int
+    rng = np.random.default_rng(14)
+    for row in rng.integers(0, 2, size=(64, 24)):
+        assert cone.evaluate(dict(enumerate(row.tolist()))) == row.sum() % 2
+
+
+def test_25_input_union_raises_with_its_location():
+    # A parity tree over 25 inputs; the last layer's gate 1 joins 16 + 9.
+    def layer(pairs, codes):
+        return HardLayer(code=codes, in0=[p[0] for p in pairs], in1=[p[-1] for p in pairs])
+
+    layers = [
+        layer([(2 * i, 2 * i + 1) for i in range(12)] + [(24,)], [XOR] * 12 + [PROJ_A]),
+        layer([(2 * i, 2 * i + 1) for i in range(6)] + [(12,)], [XOR] * 6 + [PROJ_A]),
+        layer([(0, 1), (2, 3), (4, 5), (6,)], [XOR] * 3 + [PROJ_A]),
+        layer([(0, 1), (2, 3)], [XOR, XOR]),
+        layer([(1,), (0, 1)], [PROJ_A, XOR]),
+    ]
+    circuit = HardCircuit(25, layers, 2, tau=1.0)
+    assert len(cone_of(circuit, 3, 0).support) == 16
+    with pytest.raises(OversizedConeError) as exc_info:
+        cone_of(circuit, 4, 1)
+    err = exc_info.value
+    assert (err.layer, err.gate, err.support_size, err.limit) == (4, 1, 25, 24)
 
 
 # --------------------------------------------------------------- trivial
@@ -409,6 +477,43 @@ def test_equivalence_prunes_deep_wide_circuit():
     assert report.removed > 0
     x = _random_inputs(np.random.default_rng(1), 4096, 784)
     assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
+
+
+def test_equivalence_settles_constant_classes_in_every_layer():
+    # Constant-coded gates in every layer, constants derived from the
+    # function (XOR(a, a), AND(x, 0), OR(1, x)) and duplicate functions.
+    l0 = HardLayer(
+        code=[AND, XOR, CONST0, AND, CONST1, XNOR, OR, CONST0],
+        in0=[0, 2, 0, 1, 0, 3, 2, 1], in1=[1, 2, 0, 0, 0, 3, 3, 1],
+    )
+    l1 = HardLayer(
+        code=[AND, CONST0, CONST1, XOR, OR, XOR],
+        in0=[6, 0, 0, 0, 4, 3], in1=[2, 0, 0, 6, 6, 6],
+    )
+    l2 = HardLayer(
+        code=[CONST1, XOR, PROJ_A, AND], in0=[0, 3, 3, 0], in1=[0, 5, 3, 3]
+    )
+    circuit = HardCircuit(4, [l0, l1, l2], 2, tau=1.0)
+    pruned, report = logic_equivalence_prune(circuit)
+    assert _outputs_equal(circuit, pruned)
+    _assert_equals_oracle(circuit)
+    merges = {k: v for k, v in report.reroute.items() if v[0] != "dropped"}
+    assert merges == {
+        (0, 2): ("const", 0), (0, 3): ("gate", 0, 0), (0, 5): ("const", 1),
+        (0, 7): ("const", 0), (1, 1): ("const", 0), (1, 4): ("const", 1),
+        (1, 5): ("gate", 1, 3),
+    }
+    # Each reroute names its class's lowest-indexed member.
+    cones = all_cones(circuit)
+    for (li, gi), verdict in merges.items():
+        lowest = next(j for j, cone in enumerate(cones[li]) if cone == cones[li][gi])
+        assert lowest < gi
+        assert verdict == (
+            ("const", cones[li][gi].constant_value) if cones[li][gi].is_constant
+            else ("gate", li, lowest)
+        )
+    # The final layer keeps every gate and gains only constants.
+    assert pruned.layers[-1].code.tolist() == [CONST1, CONST0, PROJ_A, CONST0]
 
 
 def test_equivalence_depth_eight_exhaustive():
@@ -746,6 +851,48 @@ def test_banded_pair_search_equals_brute_force(rows):
         assert sum(rho == c for rho, _, _ in want) >= at_c
         got = _pair_correlations(words, ones, n, c, block_bytes)
         assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_prefix_bounded_pair_search_equals_brute_force(rows):
+    # 5000 samples are 79 words, so the 32-word prefix is a strict part of
+    # each row, and 5000 is not a multiple of 64.
+    rng = np.random.default_rng(13)
+    n, pre = 5000, 64 * pruning.PREFIX_WORDS
+    base = rng.random((n, 4)) < 0.4
+    bits = base[:, rng.integers(0, 4, size=24)]
+    bits ^= rng.random((n, 24)) < rng.choice([0.0, 0.01, 0.05, 0.3], size=24)
+    # Equal on the prefix, shuffled after it: equal counts, so these pass
+    # the bound even at c = 1.0.
+    tail = rng.permuted(np.repeat(rng.random((n - pre, 1)) < 0.4, 4, axis=1), axis=0)
+    late = np.vstack([np.repeat(base[:pre, :1], 4, axis=1), tail])
+    bits = np.hstack([
+        bits, late,
+        bits[:, 3:6],  # repeats, for c = 1.0
+        np.repeat([[0, 1]], n, axis=0),  # constants: rho undefined
+    ]).astype(np.uint8)
+    bits = bits[:, rng.permutation(bits.shape[1])]
+    g = bits.shape[1]
+    words = BitMatrix.from_array(bits).to_signal_words()
+    assert words.shape[1] == 79
+    ones = bits.sum(axis=0).astype(np.int64)
+    const = {int(i) for i in np.flatnonzero((ones == 0) | (ones == n))}
+    head = bits[:pre].astype(np.int64)
+    p_i, p_ij = head.sum(axis=0), head.T @ head
+    bound = p_ij + np.minimum.outer(ones - p_i, ones - p_i)
+    block_bytes = rows * g * pruning.PREFIX_WORDS * 8
+    exact = _brute_force_pairs(words, n, 0.5)
+    for c, at_c in ((exact[len(exact) // 2][0], True), (1.0, True), (0.5, False)):
+        want = _brute_force_pairs(words, n, c)
+        assert any(rho == c for rho, _, _ in want) == at_c
+        assert not any({i, j} & const for _, i, j in want)
+        got = _pair_correlations(words, ones, n, c, block_bytes)
+        assert sorted(got) == sorted(want)
+        # Some pair passes the prefix bound but not its full count, so
+        # the second stage decides.
+        passes = phi_from_counts(n, ones[:, None], ones, bound) >= c
+        passes[np.tril_indices(g)] = False
+        assert passes.sum() > len(want)
 
 
 def test_pair_counts_past_uint16_are_exact():

@@ -43,6 +43,40 @@ def test_netlist_text_round_trip():
         assert np.array_equal(l1.in1, l2.in1)
 
 
+def _dump_netlist_per_gate(circuit: HardCircuit) -> str:
+    """The renderer of one f-string per gate, kept as the oracle."""
+    lines = [
+        "boolnet-netlist v1\n",
+        f"input_width {circuit.input_width}\n",
+        f"num_classes {circuit.num_classes}\n",
+        f"tau {circuit.tau!r}\n",
+        "layers " + " ".join(str(w) for w in circuit.layer_widths) + "\n",
+    ]
+    for li, lay in enumerate(circuit.layers):
+        gates = zip(lay.code.tolist(), lay.in0.tolist(), lay.in1.tolist())
+        lines += [f"{li} {g} {c} {a} {b}\n" for g, (c, a, b) in enumerate(gates)]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dump_netlist_equals_per_gate_renderer(seed):
+    rng = np.random.default_rng(seed)
+    fan_in, layers = int(rng.integers(1, 3000)), []
+    width = fan_in
+    for _ in range(int(rng.integers(1, 4))):
+        w = int(rng.integers(1, 1500)) * 2
+        layers.append(HardLayer(
+            code=rng.integers(0, 16, size=w),
+            in0=rng.integers(0, width, size=w), in1=rng.integers(0, width, size=w),
+        ))
+        width = w
+    circuit = HardCircuit(fan_in, layers, 2, tau=float(rng.random() * 40))
+    got = dump_netlist(circuit).splitlines(keepends=True)
+    want = _dump_netlist_per_gate(circuit).splitlines(keepends=True)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:3]  # no diff of large text
+
+
 def test_netlist_file_round_trip(tmp_path):
     circuit = _toy_circuit()
     path = tmp_path / "c.netlist"
