@@ -110,13 +110,17 @@ def _guided_top_r(
         block[ex_row[hit], ex_idx[hit] - lo] = np.inf
         take = block < thr
         if lo == 0 and hi >= R:
-            # The first slice's R-th key sets each slot's threshold. Of
+            # The first slice's R-th key sets each slot's threshold (a
+            # copy: a view would keep the partitioned slice alive). Of
             # the columns tied at it, the lowest indices complete the R.
-            thr = np.partition(block, R - 1, axis=1)[:, R - 1 : R]
+            thr = np.partition(block, R - 1, axis=1)[:, R - 1 : R].copy()
             take = block < thr
             tie = block == thr
             need = R - take.sum(axis=1, keepdims=True)
-            take |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need)
+            many = np.flatnonzero(tie.sum(axis=1) > need[:, 0])
+            rank = np.cumsum(tie[many], axis=1, dtype=np.int32)
+            tie[many] &= rank <= need[many]
+            take |= tie
         r, c = np.divmod(np.flatnonzero(take), hi - lo)
         parts.append((r, c + lo, block[r, c]))
         if 24 * sum(len(p[0]) for p in parts[1:]) <= COLLECT_BYTES and hi < I:

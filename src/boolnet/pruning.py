@@ -347,10 +347,13 @@ def logic_equivalence_prune(
         proposed = ~sig.any(axis=1) | ~(~sig).any(axis=1)
         group = np.zeros(len(sig), dtype=np.int64)
         if not is_final:  # the final layer only rewrites constants
+            # One opaque value per row: the partition np.unique(sig, axis=0)
+            # gives, at a fraction of its cost.
+            void = np.dtype((np.void, sig.shape[1] * sig.itemsize))
+            rows = np.ascontiguousarray(sig).view(void)
             _, group, sizes = np.unique(
-                sig, axis=0, return_inverse=True, return_counts=True
+                rows[:, 0], return_inverse=True, return_counts=True
             )
-            group = group.ravel()
             proposed |= sizes[group] > 1
 
         # The representative of a distinct function is its lowest-indexed

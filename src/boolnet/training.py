@@ -139,10 +139,9 @@ def _forward_arrays(
                 + c[:, 3] * a * b
             )
         else:
-            code = layer.selected_codes()
-            x = ((code[None, :] >> (2 * a.astype(np.int32) + b)) & 1).astype(
-                np.uint8
-            )
+            code = layer.selected_codes().astype(np.uint8)
+            a8, b8 = (v.astype(np.uint8, copy=False) for v in (a, b))
+            x = (code >> (2 * a8 + b8)) & 1
         xs.append(x)
         sels.append(sel)
         slot_in.append((a, b))
@@ -188,43 +187,56 @@ def connection_gradient(
     return out.astype(dtype, copy=False)
 
 
+def _scatter_plan(sel: np.ndarray):
+    """_scatter_slots' order for `sel`: each signal's first slot, the
+    slots of each later rank (signals by descending slot count, so those
+    with more than r slots are a prefix), and the signals' columns."""
+    cols = sel.reshape(-1)
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    starts = np.flatnonzero(np.r_[True, sorted_cols[1:] != sorted_cols[:-1]])
+    counts = np.diff(starts, append=cols.size)
+    by_size = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_size], counts[by_size]
+    ranks = [
+        order[starts[: np.count_nonzero(counts > r)] + r]
+        for r in range(1, counts[0])
+    ]
+    return order[starts], ranks, sorted_cols[starts]
+
+
 def _scatter_slots(
-    dslot: np.ndarray, sel: np.ndarray, width: int
+    dslot: np.ndarray, sel: np.ndarray, width: int, plan=None
 ) -> np.ndarray:
     """dy for the previous layer: add each slot's gradient onto the signal
     it hard-selected.
 
     A signal's slots a0, a1, ... (in slot order) sum as
     a0 + (((-0.0 + a1) + a2) + ...), signed zeros included, whatever
-    their number. It runs rank by rank with whole-array adds.
+    their number. It runs rank by rank with whole-array adds, as `plan`
+    (_scatter_plan(sel), built here if not given) lays out. Training
+    builds a plan once per selection and reuses it while `sel` holds.
     """
+    first, ranks, dest = _scatter_plan(sel) if plan is None else plan
     batch = dslot.shape[0]
-    cols = sel.reshape(-1)
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    starts = np.flatnonzero(np.r_[True, sorted_cols[1:] != sorted_cols[:-1]])
-    counts = np.diff(starts, append=cols.size)
-    # By descending slot count, signals with more than r slots are a prefix.
-    by_size = np.argsort(-counts, kind="stable")
-    starts, counts = starts[by_size], counts[by_size]
     # Rows of the transposed layout are contiguous batch vectors.
-    flat_t = np.ascontiguousarray(dslot.reshape(batch, -1).T[order])
-    sums = np.full((starts.size, batch), -0.0, dtype=dslot.dtype)
-    for r in range(1, counts[0]):
-        k = np.count_nonzero(counts > r)
-        sums[:k] += flat_t[starts[:k] + r]
-    sums += flat_t[starts]
+    flat_t = np.ascontiguousarray(dslot.reshape(batch, -1).T)
+    sums = np.full((first.size, batch), -0.0, dtype=dslot.dtype)
+    for pos in ranks:
+        sums[: pos.size] += flat_t[pos]
+    sums += flat_t[first]
     out = np.zeros((batch, width), dtype=dslot.dtype)
-    out[:, sorted_cols[starts]] = sums.T
+    out[:, dest] = sums.T
     return out
 
 
 def backward(
     model: NetworkModel, cache: ForwardCache, labels: np.ndarray,
-    phase: Phase | None = None,
+    phase: Phase | None = None, plans: dict | None = None,
 ) -> BatchGradients:
     """Gradients of mean softmax cross-entropy on the group logits. Given
-    a training `phase`, the tensors it keeps fixed get zero gradients."""
+    a training `phase`, the tensors it keeps fixed get zero gradients.
+    `plans` holds each layer's (selection, scatter plan) across calls."""
     if cache is None:
         raise UsageError("backward needs a forward cache")
     labels = np.asarray(labels)
@@ -232,6 +244,7 @@ def backward(
     if labels.shape != (batch,):
         raise StructuralError(f"labels must be ({batch},)")
     dtype = np.float64 if cache.soft else np.float32
+    plans = {} if plans is None else plans
 
     probs = softmax(cache.logits.astype(dtype), axis=1)
     loss = cross_entropy(cache.logits.astype(dtype), labels)
@@ -303,7 +316,12 @@ def backward(
         d_slots.append(dslot)
 
         if li > 0:
-            dy = _scatter_slots(dslot, cache.sel[li], model.fan_in_width(li))
+            sel = cache.sel[li]
+            if li not in plans or not np.array_equal(plans[li][0], sel):
+                plans[li] = (sel, _scatter_plan(sel))
+            dy = _scatter_slots(
+                dslot, sel, model.fan_in_width(li), plans[li][1]
+            )
 
     d_logits.reverse()
     d_conn.reverse()
@@ -476,6 +494,7 @@ def train(
     steps_per_epoch = max(1, -(-n_train // config.batch_size))
 
     metrics: list[MetricRow] = []
+    plans: dict = {}  # scatter plans, reused while a selection holds
     t0 = time.monotonic()
     global_step = 0
     epoch = 0
@@ -504,7 +523,7 @@ def train(
                 xb = splits.train_x[idx]
                 yb = splits.train_y[idx]
                 cache = _forward_arrays(model, xb)
-                grads = backward(model, cache, yb, phase)
+                grads = backward(model, cache, yb, phase, plans)
 
                 pred = np.argmax(cache.logits, axis=1)
                 hits += int((pred == yb).sum())

@@ -221,14 +221,25 @@ def test_train_rerun_is_deterministic(synth_run, tmp_path, capsys):
     assert metrics[0] == metrics[1]
 
 
-def test_train_rerun_in_fresh_processes_is_bit_identical(synth_run, tmp_path):
+def test_train_rerun_in_fresh_processes_is_bit_identical(
+    synth_run, tmp_path, monkeypatch
+):
     """`boolnet train` processes write checkpoints whose arrays are equal
     byte for byte: two reruns with one BLAS thread each, with random and
     with gradient-guided refresh, and a guided run with two BLAS threads.
     The guided runs read 250 input bits into 64 gates. At that shape of
     the refresh's score product (128 x 50 @ 50 x 250, float64), OpenBLAS
-    rounds some random products differently with one and two threads."""
+    rounds some random products differently with one and two threads.
+
+    First, in process, a guided run on 16 input bits at tau = 0.05 with a
+    refresh every 2 steps for 12 epochs: its confident samples get
+    gradients dozens of binades below the others, so every refresh has
+    slots whose scores a summation order can round (loose slots, not
+    interconnect._exact_slots). Each must take the per-slot oracle's
+    candidates. Keyed on the matrix product instead, about 1 in 40 of
+    them picks others in this run."""
     import boolnet
+    from boolnet import interconnect
 
     ini, _ = synth_run
     env = dict(os.environ)
@@ -240,6 +251,36 @@ def test_train_rerun_in_fresh_processes_is_bit_identical(synth_run, tmp_path):
         "--set", "train.sampling_mode=gradient_guided",
         "--set", "data.synth_features=250", "--set", "model.layer_widths=64 8",
     ]
+    loose_run = guided[:2] + [
+        "--set", "data.synth_features=16", "--set", "model.layer_widths=64 8",
+        "--set", "train.c=8", "--set", "train.tau=0.05",
+        "--set", "train.total_epochs=12", "--set", "train.beta=2",
+    ]
+
+    refreshes = []
+    top_r = interconnect._guided_top_r
+
+    def recorded(R, I, x, dy, kept, chunk):
+        got = top_r(R, I, x, dy, kept, chunk)
+        refreshes.append((R, I, np.array(x), np.array(dy), kept.copy(), got))
+        return got
+
+    monkeypatch.setattr(interconnect, "_guided_top_r", recorded)
+    out = tmp_path / "in-process"
+    argv = ["train", "--config", str(ini), "--out", str(out), "--quiet"]
+    assert main(argv + loose_run) == 0
+    monkeypatch.undo()
+    n_loose = 0
+    for R, I, x, dy, kept, got in refreshes:
+        dy = dy.astype(np.float64)
+        loose = np.flatnonzero(~interconnect._exact_slots(dy))
+        scores = interconnect.connection_scores_chunk(x, dy[:, loose])
+        for s, score in zip(loose, scores):
+            order = np.lexsort((np.arange(I), score))
+            want = order[~np.isin(order, kept[s])][:R]
+            assert np.array_equal(got[s], want), s
+        n_loose += loose.size
+    assert n_loose > 0
 
     def checkpoint(name, threads, args=()):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

@@ -436,3 +436,25 @@ def test_whole_layer_memory_does_not_grow_with_width():
         tracemalloc.stop()
         peaks.append(peak)
     assert peaks[-1] < peaks[0] * 1.25 + 64 * 1024
+
+
+def test_desk_shape_guided_refresh_peak_memory():
+    """A guided refresh at the desk shape (S = 2000 slots, B = 100,
+    I = 2352) allocates at most 13.5 MB at its peak: the measured peak of
+    13,173,126 bytes plus room for small-object noise. One more live
+    slice-sized float64 block (about 4 MB) would exceed it, such as the
+    partitioned first slice if the thresholds stayed a view into it
+    (16,247,293 bytes)."""
+    rng = np.random.default_rng(5)
+    B, G, I, C, R = 100, 1000, 2352, 8, 4
+    x = (rng.random((B, I)) < 0.3).astype(np.uint8)
+    dy = (rng.normal(size=(B, G, 2)) * 1e-3).astype(np.float32)
+    kept = np.stack([rng.choice(I, size=C - R, replace=False)
+                     for _ in range(2 * G)])
+    sampler = GradientGuidedSampler(x, dy)
+    sampler.sample_many(R, I, kept)  # warm allocator paths
+    tracemalloc.start()
+    sampler.sample_many(R, I, kept)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 13_500_000

@@ -286,6 +286,47 @@ def test_scatter_slots_bit_equals_documented_order(dtype):
         assert np.array_equal(got.view(uint), want.view(uint)), trial
 
 
+def test_training_reuses_scatter_plans_only_while_a_selection_holds(
+    monkeypatch,
+):
+    """With layers_to_learn=2, layer 1's interconnect learns in the second
+    phase, so its selection changes between steps while layer 2's holds.
+    Every scatter backward makes with a held plan equals _scatter_slots
+    building its own, bit for bit; held plans are reused, and each plan
+    belongs to one selection."""
+    import boolnet.training as training
+
+    rng = np.random.default_rng(10)
+    splits = _parity_splits(rng, n=96)
+    model = random_network(6, [12, 10, 4], 2, candidates_per_slot=4, seed=4,
+                           tau=2.0)
+    calls, held = [], []
+
+    def checked(dslot, sel, width, plan=None):
+        assert plan is not None
+        got = _scatter_slots(dslot, sel, width, plan)
+        fresh = _scatter_slots(dslot, sel, width)
+        assert got.dtype == fresh.dtype
+        assert got.tobytes() == fresh.tobytes()
+        held.append(plan)  # keeps each id unique
+        calls.append((width, sel.tobytes(), id(plan)))
+        return got
+
+    monkeypatch.setattr(training, "_scatter_slots", checked)
+    cfg = TrainConfig(total_epochs=4, layers_to_learn=2, C=4, R=2, beta=3,
+                      batch_size=16, lr_init=0.1, tau=2.0, seed=5)
+    train(model, splits, cfg)
+    for width in (12, 10):  # the scatters of layers 1 and 2
+        mine = [(s, p) for w, s, p in calls if w == width]
+        sels = {s for s, _ in mine}
+        plans = {p for _, p in mine}
+        assert len(plans) < len(mine)  # reused
+        assert len({(s, p) for s, p in mine}) == len(plans)
+        assert len(plans) >= len(sels)
+    layer1 = {s for w, s, _ in calls if w == 12}
+    assert len(layer1) > 1
+
+
 def test_frozen_tensors_get_zero_gradients():
     rng = np.random.default_rng(6)
     model = _rand_model(rng)
