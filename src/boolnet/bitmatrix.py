@@ -99,11 +99,6 @@ class BitMatrix:
         n, m = arr.shape
         return cls(_transpose_bits(packed.view(np.uint64), m), n)
 
-    @classmethod
-    def zeros(cls, n_samples: int, n_signals: int) -> "BitMatrix":
-        words = np.zeros((n_signals, _words_needed(n_samples)), dtype=np.uint64)
-        return cls(words, n_samples)
-
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
         rows = _transpose_bits(self.words, self.n_samples).view(np.uint8)
@@ -112,17 +107,6 @@ class BitMatrix:
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
         rows = _transpose_bits(self.words, self.n_samples)[lo:hi]
         return BitMatrix(_transpose_bits(rows, self.n_signals), rows.shape[0])
-
-    def to_signal_words(self) -> np.ndarray:
-        """The stored (signals x words-over-samples) uint64 words."""
-        return self.words
-
-    @classmethod
-    def from_signal_words(
-        cls, sig_words: np.ndarray, n_samples: int
-    ) -> "BitMatrix":
-        """Wrap signal-major words whose bits past `n_samples` are zero."""
-        return cls(sig_words, n_samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):

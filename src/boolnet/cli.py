@@ -97,12 +97,18 @@ def _load_dataset(cfg, args, split: str | None = None) -> Dataset:
         raise ConfigError(f"data.val_size must be >= 0, got {d['val_size']}")
     name = d["dataset"]
     if name == "synth":
-        return synth_boolean_task(
-            d["synth_kind"],
-            d["synth_features"],
-            d["synth_samples"],
-            seed=cfg["train"]["seed"],
-        )
+        for key in ("synth_features", "synth_samples"):
+            if d[key] < 1:
+                raise ConfigError(f"data.{key} must be >= 1, got {d[key]}")
+        try:
+            return synth_boolean_task(
+                d["synth_kind"],
+                d["synth_features"],
+                d["synth_samples"],
+                seed=cfg["train"]["seed"],
+            )
+        except StructuralError as exc:  # an unknown kind
+            raise ConfigError(f"data.synth_kind: {exc}") from exc
     path = args.data or d["path"] or os.environ.get(DATA_DIR_ENV, "")
     if not path:
         raise ConfigError(
@@ -183,26 +189,29 @@ def _write_metrics_csv(path: str, metrics: list[MetricRow]) -> None:
 
 
 def cmd_train(args, cfg) -> tuple[str, list[str]]:
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
     dataset, encoder, splits = _prepare(cfg, args)
     tconf = train_config_from(cfg)
     input_width = splits["train"][0].shape[1]
     widths = cfg["model"]["layer_widths"]
-    if not widths or widths[-1] % dataset.num_classes:
-        raise ConfigError(f"model.layer_widths {widths} must end in a "
-                          f"multiple of {dataset.num_classes} classes")
+    if not widths or min(widths) < 1 or widths[-1] % dataset.num_classes:
+        raise ConfigError(f"model.layer_widths {widths} must be positive and "
+                          f"end in a multiple of {dataset.num_classes} classes")
     if not 0 <= cfg["model"]["logit_scale"] < np.inf:  # NaN fails too
         raise ConfigError("model.logit_scale must be finite and >= 0")
-    model = random_network(
-        input_width,
-        widths,
-        dataset.num_classes,
-        tconf.C,
-        tau=tconf.tau,
-        seed=tconf.seed,
-        logit_scale=cfg["model"]["logit_scale"],
-    )
+    try:
+        model = random_network(
+            input_width,
+            widths,
+            dataset.num_classes,
+            tconf.C,
+            tau=tconf.tau,
+            seed=tconf.seed,
+            logit_scale=cfg["model"]["logit_scale"],
+        )
+    except StructuralError as exc:  # e.g. a layer narrower than train.c
+        raise ConfigError(
+            f"model.layer_widths {widths} with train.c={tconf.C}: {exc}"
+        ) from exc
 
     enc_splits = EncodedSplits(*splits["train"], *splits["val"])
 
@@ -440,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)

@@ -395,7 +395,7 @@ def eval_circuit_layers(
             f"input width {inputs.n_signals} != circuit {circuit.input_width}"
         )
     valid = _valid_words_mask(inputs.n_samples)
-    words = inputs.to_signal_words()
+    words = inputs.words
     outs = []
     for lay in circuit.layers:
         words = _eval_layer_words(lay, words, valid)
@@ -406,7 +406,7 @@ def eval_circuit_layers(
 def eval_circuit(circuit: HardCircuit, inputs: BitMatrix) -> BitMatrix:
     """Final-layer activations for a batch of packed input vectors."""
     final = eval_circuit_layers(circuit, inputs)[-1]
-    return BitMatrix.from_signal_words(final, inputs.n_samples)
+    return BitMatrix(final, inputs.n_samples)
 
 
 def group_logits(

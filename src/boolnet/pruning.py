@@ -39,7 +39,7 @@ SIGNATURE_WORDS = 16  # 1024 random vectors propose equivalence merges
 PREFIX_WORDS = 32  # words of a row that bound a pair's count before popcounting all
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ConeFunction:
     """A gate's exact Boolean function over primary inputs.
 
@@ -47,21 +47,12 @@ class ConeFunction:
     genuinely depends on. `bits` is the truth table as one int: bit r is
     the value under the assignment where bit v of r is the value of
     support[v], so a 24-input table is a 2 MB int. Equality of (support,
-    bits) is therefore semantic equality. The constructor also takes the
-    table as bytes, one 0/1 byte per entry, which `table` returns.
+    bits) is therefore semantic equality. `table` gives the table as
+    bytes, one 0/1 byte per entry.
     """
 
     support: tuple[int, ...]
     bits: int = field(repr=False)  # past 4300 digits, str(int) raises
-
-    def __init__(self, support: tuple[int, ...], table: bytes | int):
-        if isinstance(table, bytes):
-            if len(table) != 1 << len(support):
-                raise StructuralError("cone table length != 2^|support|")
-            packed = np.packbits(np.frombuffer(table, np.uint8), bitorder="little")
-            table = int.from_bytes(packed.tobytes(), "little")
-        object.__setattr__(self, "support", tuple(support))
-        object.__setattr__(self, "bits", table)
 
     @classmethod
     def constant(cls, bit: int) -> "ConeFunction":
@@ -315,7 +306,7 @@ def _signature_inputs(width: int) -> BitMatrix:
     words = np.random.default_rng(0).integers(
         0, 1 << 64, size=(width, SIGNATURE_WORDS), dtype=np.uint64
     )
-    return BitMatrix.from_signal_words(words, 64 * SIGNATURE_WORDS)
+    return BitMatrix(words, 64 * SIGNATURE_WORDS)
 
 
 def logic_equivalence_prune(
@@ -417,7 +408,7 @@ def profile_activations(
     A layer that keeps every gate and redoes none shares the prior's
     arrays. Without a prior every gate counts as changed."""
     valid = _valid_words_mask(data.n_samples)
-    prev = data.to_signal_words()
+    prev = data.words
     prev_changed = np.zeros(circuit.input_width, dtype=bool)
     layers = []
     for li, lay in enumerate(circuit.layers):
@@ -482,19 +473,20 @@ def phi_from_counts(n: int, ni, nj, nij):
     """Correlation of two binary variables from joint popcounts.
 
     On binary data the rank-based correlation coefficient reduces to this
-    closed form. The numerator is exact in float64, but the denominator
-    is rounded: two identical rows need not read exactly 1.0 (at n = 10000,
-    2586 of the 9999 counts give 0.9999999999999998), so `rho >= 1.0`
-    misses some identical pairs. Deciding rho >= c on integers is an open
-    ROADMAP item ("Exact rho >= c decisions"); the count band and the
-    prefix bound of `_pair_correlations` use this arithmetic too and must
-    change with it.
+    closed form. The numerator is exact in float64. The denominator takes
+    one square root of the whole product: for two identical rows that
+    product is x * x with x the numerator, and a correctly rounded
+    sqrt(x * x) is x, so identical rows read exactly 1.0 and `rho >= 1.0`
+    finds them. For other pairs the denominator is rounded, and deciding
+    rho >= c on integers for c < 1 is an open ROADMAP item ("Exact rho >= c
+    decisions"); the count band and the prefix bound of
+    `_pair_correlations` use this arithmetic too and must change with it.
     """
     ni = np.asarray(ni, dtype=np.float64)
     nj = np.asarray(nj, dtype=np.float64)
     nij = np.asarray(nij, dtype=np.float64)
     num = n * nij - ni * nj
-    den = np.sqrt(ni * (n - ni)) * np.sqrt(nj * (n - nj))
+    den = np.sqrt(ni * (n - ni) * (nj * (n - nj)))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     return out

@@ -47,7 +47,7 @@ def test_from_array_any_dtype_and_memory_order():
 
 
 def test_zeros_and_row_range():
-    z = BitMatrix.zeros(5, 70)
+    z = BitMatrix(np.zeros((70, 1), dtype=np.uint64), 5)
     assert z.shape == (5, 70)
     assert not z.to_array().any()
     rng = np.random.default_rng(1)
@@ -74,12 +74,12 @@ def test_signal_words_round_trip():
     rng = np.random.default_rng(2)
     arr = rng.integers(0, 2, size=(130, 9)).astype(np.uint8)
     bm = BitMatrix.from_array(arr)
-    sig = bm.to_signal_words()
+    sig = bm.words
     assert sig.shape == (9, 3)  # 130 samples -> 3 words per signal
-    back = BitMatrix.from_signal_words(sig, 130)
+    back = BitMatrix(sig, 130)
     assert back == bm
     with pytest.raises(StructuralError):
-        BitMatrix.from_signal_words(sig, 193)  # 3 words hold 192 samples
+        BitMatrix(sig, 193)  # 3 words hold 192 samples
 
 
 def test_immutability_and_hash():
@@ -120,9 +120,9 @@ def test_round_trip_property(n, m, seed):
     arr = np.random.default_rng(seed).integers(0, 2, size=(n, m))
     bm = BitMatrix.from_array(arr)
     assert np.array_equal(bm.to_array(), arr.astype(np.uint8))
-    sig = bm.to_signal_words()
+    sig = bm.words
     assert np.array_equal(sig, _signal_words_oracle(bm))
     # Bits past the last sample stay zero: profiling popcounts whole words.
     if n % WORD_BITS:
         assert not (sig[:, -1] >> np.uint64(n % WORD_BITS)).any()
-    assert BitMatrix.from_signal_words(sig, n) == bm
+    assert BitMatrix(sig, n) == bm

@@ -5,6 +5,7 @@ can be asserted directly. Only the fresh-process rerun test starts
 subprocesses.
 """
 
+import argparse
 import csv
 import dataclasses
 import datetime
@@ -598,6 +599,38 @@ def test_bad_sample_cap_exits_2(synth_run, tmp_path, overrides, key, capsys):
     assert key in capsys.readouterr().err
 
 
+def test_sample_caps_draw_seeded_rows_of_their_own_split():
+    """data.limit_train and data.limit_test keep exactly that many rows of
+    their own split, drawn from train.seed."""
+
+    def picked(seed):
+        cfg = default_config()
+        apply_overrides(cfg, [
+            "data.dataset=synth", "data.synth_features=64",
+            "data.synth_samples=400", "encoding.mode=binary",
+            "data.limit_train=50", "data.limit_test=20",
+            f"train.seed={seed}",
+        ])
+        dataset, _, splits = cli._prepare(cfg, argparse.Namespace(data=None))
+        # 64 random bits: every row of the dataset is distinct.
+        where = {row.tobytes(): i for i, row in enumerate(dataset.features)}
+        out = {}
+        for name, cap in (("train", 50), ("test", 20)):
+            bits, labels = splits[name]
+            idx = np.array([where[row.tobytes()] for row in bits])
+            assert len(idx) == cap
+            assert np.isin(idx, dataset.indices(name)).all()
+            assert np.array_equal(labels, dataset.labels[idx])
+            out[name] = idx
+        assert len(splits["val"][1]) == dataset.indices("val").size
+        return out
+
+    first, again, other = picked(3), picked(3), picked(4)
+    for name in ("train", "test"):
+        assert np.array_equal(first[name], again[name])
+        assert not np.array_equal(first[name], other[name])
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -605,6 +638,13 @@ def test_bad_sample_cap_exits_2(synth_run, tmp_path, overrides, key, capsys):
          "encoding.thresholds"),
         (["data.val_size=-1"], "data.val_size"),
         (["model.layer_widths=16 15"], "model.layer_widths"),
+        (["model.layer_widths=2 2"], "model.layer_widths"),  # < train.c
+        (["model.layer_widths=0 2"], "model.layer_widths"),
+        (["model.layer_widths=16 0"], "model.layer_widths"),
+        (["data.synth_kind=nope"], "data.synth_kind"),
+        (["data.synth_features=0"], "data.synth_features"),
+        (["data.synth_features=-2"], "data.synth_features"),
+        (["data.synth_samples=-5"], "data.synth_samples"),
     ],
 )
 def test_config_that_cannot_train_exits_2(
@@ -908,7 +948,7 @@ def test_unread_input_rows_change_no_output(tmp_path, monkeypatch):
     masks = []
 
     def recorded(encoder, data, read=None):
-        unread = encoding.encode(encoder, data).to_signal_words()[~read]
+        unread = encoding.encode(encoder, data).words[~read]
         masks.append((read.sum(), unread.any()))
         return encoding.encode(encoder, data, read)
 

@@ -200,7 +200,7 @@ def test_encode_words_bit_equal_sample_major_formula(n, T, dtype):
     got = encode(enc, data)
     assert got.shape == (n, f * T)
     assert np.array_equal(
-        got.to_signal_words(), _sample_major_words_oracle(thresholds, data)
+        got.words, _sample_major_words_oracle(thresholds, data)
     )
     # Fortran order and a float32 copy of small integers encode the same.
     assert encode(enc, np.asfortranarray(data)) == got
@@ -234,11 +234,11 @@ def test_read_row_encode_equals_full_encode_on_read_rows(
     data = _features(rng, pool_dtype, n, f).astype(dtype)
     read = rng.random(f * T) < share
     enc = ThermometerEncoder(thresholds)
-    full = encode(enc, data).to_signal_words()
+    full = encode(enc, data).words
     got = encode(enc, data, read)
     assert got.shape == (n, f * T)
-    assert np.array_equal(got.to_signal_words()[read], full[read])
-    assert not got.to_signal_words()[~read].any()
+    assert np.array_equal(got.words[read], full[read])
+    assert not got.words[~read].any()
 
 
 _FIT_KINDS = ["uint8", "uint16", "int8", "int16", "int64", "bool", "float",
@@ -300,7 +300,7 @@ def test_fit_thresholds_memory_stays_near_the_sorted_rows():
 def test_encode_empty_input():
     enc = ThermometerEncoder(np.array([[0.5, 1.0], [1.5, 2.0]]))
     bits = encode(enc, np.zeros((0, 2)))
-    assert bits.shape == (0, 4) and bits.to_signal_words().shape == (4, 0)
+    assert bits.shape == (0, 4) and bits.words.shape == (4, 0)
     assert bits.to_array().shape == (0, 4)
 
 
@@ -328,7 +328,7 @@ def test_encode_memory_stays_near_the_packed_result():
     enc = ThermometerEncoder(np.sort(rng.uniform(0, 255, size=(f, T)), axis=1))
     tracemalloc.start()
     try:
-        words = encode(enc, data).to_signal_words()
+        words = encode(enc, data).words
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,7 +393,7 @@ def test_fit_thresholds_and_encode_golden(name):
     enc = fit_thresholds(x[:700], 3)
     t = enc.thresholds + 0.0
     t = np.where(np.isnan(t), np.nan, t)
-    words = encode(enc, x[700:]).to_signal_words()
+    words = encode(enc, x[700:]).words
     got = tuple(
         hashlib.sha256(np.ascontiguousarray(a, dtype=d).tobytes()).hexdigest()
         for a, d in ((t, "<f8"), (words, "<u8"))

@@ -244,7 +244,7 @@ def test_circuit_eval_matches_naive_interpreter(seed, batch):
     got = eval_circuit_layers(circuit, BitMatrix.from_array(x))
     want = _naive_eval(circuit, x)
     for words, ref in zip(got, want):
-        bm = BitMatrix.from_signal_words(words, batch)
+        bm = BitMatrix(words, batch)
         assert np.array_equal(bm.to_array(), ref)
 
 
@@ -314,7 +314,7 @@ def test_eval_batch_split_invariance():
 def test_eval_wrong_width_raises():
     model = random_network(6, [4], 2, candidates_per_slot=2, seed=0)
     with pytest.raises(StructuralError):
-        eval_circuit(harden(model), BitMatrix.zeros(2, 5))
+        eval_circuit(harden(model), BitMatrix.from_array(np.zeros((2, 5))))
 
 
 # ------------------------------------------------------------- group sum
@@ -323,7 +323,7 @@ def test_eval_wrong_width_raises():
 def test_group_logits_hand_example():
     # Two classes, three gates each: sums (3, 5) over tau=30.
     acts = BitMatrix.from_array([[1, 1, 1, 1, 1, 1, 1, 1, 0, 0]])
-    logits = group_logits(acts.to_signal_words(), 1, 2, tau=30.0)
+    logits = group_logits(acts.words, 1, 2, tau=30.0)
     assert logits.shape == (1, 2)
     assert logits[0, 0] == pytest.approx(5 / 30)
     assert logits[0, 1] == pytest.approx(3 / 30)
@@ -347,7 +347,7 @@ def test_group_logits_equal_int64_oracle(n, group):
     classes = 10
     bits = rng.integers(0, 2, size=(n, classes * group), dtype=np.uint8)
     bits[-1] = 1  # every group sum of the last sample is the group size
-    words = BitMatrix.from_array(bits).to_signal_words()
+    words = BitMatrix.from_array(bits).words
     for tau in (1.0, 30.0, 0.3):
         got = group_logits(words, n, classes, tau)
         assert got.dtype == np.float64
@@ -365,7 +365,7 @@ def test_adder_tree_equals_unpacked_sums(n, group):
     for density in (0.0, 1.0, 0.5):
         rng = np.random.default_rng(group * 100 + n)
         bits = (rng.random((n, classes * group)) < density).astype(np.uint8)
-        words = BitMatrix.from_array(bits).to_signal_words()
+        words = BitMatrix.from_array(bits).words
         got = group_logits(words, n, classes, 0.5)
         want = bits.reshape(n, classes, group).sum(axis=2, dtype=np.int64)
         assert got.shape == (n, classes) and got.dtype == np.float64
@@ -378,7 +378,7 @@ def test_adder_tree_equals_unpacked_sums(n, group):
 
 def test_group_logits_rejects_ragged_width():
     with pytest.raises(StructuralError):
-        group_logits(BitMatrix.zeros(1, 10).to_signal_words(), 1, 3, tau=1.0)
+        group_logits(np.zeros((10, 1), dtype=np.uint64), 1, 3, tau=1.0)
 
 
 def test_predict_and_accuracy():

@@ -61,7 +61,7 @@ def test_forward_hard_matches_hardened_circuit():
     ref = eval_circuit_layers(circuit, bits)
     assert len(ref) == len(cache.x_layers) - 1
     for got, words in zip(cache.x_layers[1:], ref):
-        packed = BitMatrix.from_signal_words(words, len(x)).to_array()
+        packed = BitMatrix(words, len(x)).to_array()
         assert np.array_equal(got, packed)
     assert np.array_equal(circuit_logits(circuit, bits), cache.logits)
 
