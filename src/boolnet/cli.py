@@ -4,8 +4,9 @@ Every command that writes artifacts also writes a manifest.json capturing
 argv, the resolved configuration, seeds, and library versions, so a run
 can be reproduced from the manifest alone.
 
-Exit codes: 0 success, 2 configuration, usage or path problems, 3
-dataset ingestion problems, 4 internal structural errors.
+Exit codes, one error class each: 0 success, 2 configuration, usage or
+path problems (ConfigError), 3 dataset ingestion problems
+(IngestionError), 4 internal structural errors (StructuralError).
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .bitmatrix import BitMatrix
 from .config import apply_overrides, load_config, train_config_from
 from .data import Dataset, load_cifar10, load_mnist_idx, synth_boolean_task
 from .encoding import ThermometerEncoder, encode, fit_thresholds
-from .errors import (
-    BoolnetError,
-    ConfigError,
-    IngestionError,
-    OversizedConeError,
-    StructuralError,
-    UsageError,
-)
+from .errors import ConfigError, IngestionError, StructuralError
 from .model import (
     HardCircuit,
     estimate_interconnect_memory,
@@ -70,7 +64,6 @@ def _write_manifest(
     args, argv: list[str], cfg, provenance: str, outputs: list[str],
     started_utc: str, wall_s: float,
 ) -> None:
-    adam = Adam()
     manifest = {
         "command": args.command,
         "argv": argv,
@@ -78,7 +71,7 @@ def _write_manifest(
         "seed": cfg["train"]["seed"],
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "adam": {k: getattr(adam, k) for k in ("beta1", "beta2", "eps")},
+        "adam": {k: getattr(Adam, k) for k in ("beta1", "beta2", "eps")},
         "dataset_provenance": provenance,
         "outputs": outputs,
         "started_utc": started_utc,
@@ -116,7 +109,7 @@ def _load_dataset(cfg, args, split: str | None = None) -> Dataset:
         )
     loader = {"mnist": load_mnist_idx, "cifar10": load_cifar10}.get(name)
     if loader is None:
-        raise ConfigError(f"unknown dataset {name!r}")
+        raise ConfigError(f"unknown data.dataset {name!r}")
     try:
         return loader(path, d["val_size"], cfg["train"]["seed"], split)
     except OSError as exc:  # e.g. a directory, or a .gz that is not gzip
@@ -152,7 +145,7 @@ def _prepare(cfg, args):
             raise ConfigError(f"data.{key} must be >= {least}, got {d[key]}")
     mode, T = cfg["encoding"]["mode"], cfg["encoding"]["thresholds"]
     if mode not in ("thermometer", "binary"):
-        raise ConfigError(f"unknown encoding mode {mode!r}")
+        raise ConfigError(f"unknown encoding.mode {mode!r}")
     if mode == "thermometer" and T < 1:
         raise ConfigError(f"encoding.thresholds must be >= 1, got {T}")
     dataset = _load_dataset(cfg, args)
@@ -160,10 +153,9 @@ def _prepare(cfg, args):
     tr_idx = _limit(dataset.indices("train"), d["limit_train"], seed)
     te_idx = _limit(dataset.indices("test"), d["limit_test"], seed + 1)
     va_idx = dataset.indices("val")
-    if tr_idx.size == 0:
-        raise ConfigError(
-            f"no training samples left (data.val_size={d['val_size']})"
-        )
+    if tr_idx.size == 0:  # the synth split is 70/10/20 of its samples
+        key = "synth_samples" if d["dataset"] == "synth" else "val_size"
+        raise ConfigError(f"no training samples left (data.{key}={d[key]})")
 
     encoder = (fit_thresholds(dataset.features[tr_idx], T)
                if mode == "thermometer" else None)
@@ -511,17 +503,14 @@ def main(argv: list[str] | None = None) -> int:
                 time.monotonic() - t_start,
             )
         return EXIT_OK
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IngestionError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
-    except (StructuralError, OversizedConeError) as exc:
+    except StructuralError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except BoolnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

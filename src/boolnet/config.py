@@ -79,7 +79,7 @@ def load_config(path: str | None) -> dict[str, dict[str, Any]]:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise ConfigError(f"cannot read config file: {path}")
+        raise ConfigError(f"cannot read --config file: {path}")
     bad = sorted(set(parser.sections()) - SCHEMA.keys())
     if bad:
         raise ConfigError("unknown config keys: " + ", ".join(bad))

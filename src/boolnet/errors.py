@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all boolnet modules.
 
-The CLI maps these onto distinct process exit codes, so raising the right
-subclass matters for scripting users.
+The CLI maps each subclass onto its own process exit code (ConfigError
+2, IngestionError 3, StructuralError 4), so raising the right one
+matters for scripting users.
 """
 
 
@@ -20,23 +21,3 @@ class ConfigError(BoolnetError):
 
 class IngestionError(BoolnetError):
     """A dataset file is missing, truncated, or has a bad header."""
-
-
-class UsageError(BoolnetError):
-    """An operation was called in the wrong sequence (e.g. backward pass
-    without a cached forward pass)."""
-
-
-class OversizedConeError(BoolnetError):
-    """A gate's input cone exceeds the configured support limit; exact
-    enumeration is no longer practical for this gate."""
-
-    def __init__(self, layer: int, gate: int, support_size: int, limit: int):
-        self.layer = layer
-        self.gate = gate
-        self.support_size = support_size
-        self.limit = limit
-        super().__init__(
-            f"cone of gate {gate} in layer {layer} depends on "
-            f"{support_size} inputs, above the limit of {limit}"
-        )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, UsageError
+from .errors import StructuralError
 from .model import LayerParams, sample_distinct
 
 # Columns per slice when scoring one slot. A whole layer sizes its slices so
@@ -158,8 +158,6 @@ def sample_gradient_guided(
     wide the layer is. Ties break toward the lower index; excluded
     (kept) candidates are never returned.
     """
-    if x is None or dy_slot is None:
-        raise UsageError("gradient-guided sampling needs a batch (x, dy)")
     kept = np.asarray(list(exclude), dtype=np.int64).reshape(1, -1)
     dy = np.asarray(dy_slot).reshape(-1, 1)
     return _guided_top_r(R, I, x, dy, kept, chunk)[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitmatrix import BitMatrix
-from .errors import ConfigError, OversizedConeError, StructuralError
+from .errors import ConfigError, StructuralError
 from .model import (
     CONST0,
     CONST1,
@@ -117,17 +117,18 @@ def _gate(code: int, a: int, b: int, k: int) -> int:
 
 
 def compose_cones(
-    code: int, a: ConeFunction, b: ConeFunction, limit: int = SUPPORT_LIMIT
-) -> ConeFunction:
-    """Apply a gate table to two child cones and reduce the support.
+    code: int, a: ConeFunction, b: ConeFunction
+) -> ConeFunction | None:
+    """Apply a gate table to two child cones and reduce the support, or
+    return None when the union support exceeds SUPPORT_LIMIT.
 
     Both child tables are widened to the union support, combined by
     bitwise ops on the ints, and every input the result does not read is
     dropped again."""
     union = tuple(sorted(set(a.support) | set(b.support)))
     k = len(union)
-    if k > limit:
-        raise OversizedConeError(-1, -1, k, limit)
+    if k > SUPPORT_LIMIT:
+        return None
     t = _gate(code, _widen(a, union), _widen(b, union), k)
     support = list(union)
     for p in range(k - 1, -1, -1):
@@ -143,54 +144,48 @@ def compose_cones(
 
 
 def _cone(
-    circuit: HardCircuit, li: int, gi: int, memo: dict, limit: int
-) -> ConeFunction:
+    circuit: HardCircuit, li: int, gi: int, memo: dict
+) -> ConeFunction | None:
     """Cone of gate gi of layer li (input gi when li < 0), memoized in
-    `memo`. Slots the gate's table does not read are never visited."""
+    `memo`, or None when it or a cone it reads is past SUPPORT_LIMIT.
+    Slots the gate's table does not read are never visited."""
     if li < 0:
         return ConeFunction.input_var(gi)
-    cone = memo.get((li, gi))
-    if cone is None:
-        lay = circuit.layers[li]
-        code = int(lay.code[gi])
-        if code in (CONST0, CONST1):
-            cone = ConeFunction.constant(code & 1)
-        else:
-            a = b = None
-            if DEPENDS_A[code]:
-                a = _cone(circuit, li - 1, int(lay.in0[gi]), memo, limit)
-            if DEPENDS_B[code]:
-                b = _cone(circuit, li - 1, int(lay.in1[gi]), memo, limit)
-            try:  # an unread slot takes the read one's cone
-                cone = compose_cones(code, a or b, b or a, limit)
-            except OversizedConeError as exc:
-                raise OversizedConeError(
-                    li, gi, exc.support_size, limit
-                ) from None
-        memo[(li, gi)] = cone
+    if (li, gi) in memo:  # None is a stored answer too
+        return memo[(li, gi)]
+    lay = circuit.layers[li]
+    code = int(lay.code[gi])
+    if code in (CONST0, CONST1):
+        cone = ConeFunction.constant(code & 1)
+    else:  # an unread slot takes the read one's cone
+        read = [
+            _cone(circuit, li - 1, int(src[gi]), memo)
+            for src, depends in ((lay.in0, DEPENDS_A), (lay.in1, DEPENDS_B))
+            if depends[code]
+        ]
+        cone = None if None in read else compose_cones(code, read[0], read[-1])
+    memo[(li, gi)] = cone
     return cone
 
 
-def all_cones(
-    circuit: HardCircuit, limit: int = SUPPORT_LIMIT
-) -> list[list[ConeFunction]]:
-    """Cone of every gate, layer by layer."""
+def all_cones(circuit: HardCircuit) -> list[list[ConeFunction | None]]:
+    """Cone of every gate, layer by layer; None past SUPPORT_LIMIT."""
     memo: dict = {}
     return [
-        [_cone(circuit, li, gi, memo, limit) for gi in range(lay.n_gates)]
+        [_cone(circuit, li, gi, memo) for gi in range(lay.n_gates)]
         for li, lay in enumerate(circuit.layers)
     ]
 
 
-def cone_of(
-    circuit: HardCircuit, layer: int, gate: int, limit: int = SUPPORT_LIMIT
-) -> ConeFunction:
-    """Exact support-reduced function of one gate over primary inputs."""
+def cone_of(circuit: HardCircuit, layer: int, gate: int) -> ConeFunction | None:
+    """Exact support-reduced function of one gate over primary inputs, or
+    None when that cone, or one it is built from, needs more than
+    SUPPORT_LIMIT inputs."""
     if not (0 <= layer < len(circuit.layers)):
         raise StructuralError(f"no layer {layer}")
     if not (0 <= gate < circuit.layers[layer].n_gates):
         raise StructuralError(f"no gate {gate} in layer {layer}")
-    return _cone(circuit, layer, gate, {}, limit)
+    return _cone(circuit, layer, gate, {})
 
 
 @dataclass
@@ -310,7 +305,7 @@ def _signature_inputs(width: int) -> BitMatrix:
 
 
 def logic_equivalence_prune(
-    circuit: HardCircuit, limit: int = SUPPORT_LIMIT
+    circuit: HardCircuit,
 ) -> tuple[HardCircuit, PruneReport]:
     """Merge gates whose cones are identical Boolean functions.
 
@@ -319,7 +314,9 @@ def logic_equivalence_prune(
     only gates that share a row, or whose row is all-0 or all-1, can
     merge or be constant. Constant-coded proposals are settled from
     their codes, and only the others get exact cones (int truth tables,
-    see `ConeFunction`). Per layer, a gate's class is its (signature
+    see `ConeFunction`). A proposal whose cone is past SUPPORT_LIMIT is
+    unproved: it stays unmerged and non-constant, which is sound and
+    only compresses less. Per layer, a gate's class is its (signature
     group, cone) pair; the lowest-indexed member of each class is kept
     and readers of the rest move to it. Each constant class is settled
     with array ops: its lowest-indexed member becomes a literal constant
@@ -354,7 +351,9 @@ def logic_equivalence_prune(
         first: dict = {}
         rep_of = np.arange(len(sig), dtype=np.int64)
         for gi in np.flatnonzero(proposed & (bit < 0)).tolist():
-            cone = _cone(circuit, li, gi, memo, limit)
+            cone = _cone(circuit, li, gi, memo)
+            if cone is None:  # unproved: stays unmerged and non-constant
+                continue
             if cone.is_constant:
                 bit[gi] = cone.bits
             else:

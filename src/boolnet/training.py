@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BitMatrix
-from .errors import ConfigError, StructuralError, UsageError
+from .errors import ConfigError, StructuralError
 from .interconnect import (
     GradientGuidedSampler,
     RandomSampler,
@@ -237,8 +237,6 @@ def backward(
     """Gradients of mean softmax cross-entropy on the group logits. Given
     a training `phase`, the tensors it keeps fixed get zero gradients.
     `plans` holds each layer's (selection, scatter plan) across calls."""
-    if cache is None:
-        raise UsageError("backward needs a forward cache")
     labels = np.asarray(labels)
     batch = cache.logits.shape[0]
     if labels.shape != (batch,):
@@ -332,15 +330,11 @@ def backward(
 class Adam:
     """Plain Adam with the canonical published defaults."""
 
-    def __init__(
-        self,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}

@@ -645,6 +645,10 @@ def test_sample_caps_draw_seeded_rows_of_their_own_split():
         (["data.synth_features=0"], "data.synth_features"),
         (["data.synth_features=-2"], "data.synth_features"),
         (["data.synth_samples=-5"], "data.synth_samples"),
+        (["data.synth_samples=1"], "data.synth_samples"),  # no training row
+        (["data.dataset=nope", "data.path=."], "data.dataset"),
+        (["encoding.mode=gray"], "encoding.mode"),
+        (["train.c=abc"], "train.c"),
     ],
 )
 def test_config_that_cannot_train_exits_2(
@@ -740,6 +744,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["train", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "data.bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "unknown section"])
+def test_bad_config_file_exits_2(tmp_path, case, capsys):
+    ini = tmp_path / "run.ini"
+    if case == "unknown section":
+        ini.write_text("[data]\ndataset = synth\n[bogus]\n")
+    rc = main(["train", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("--config" if case == "missing" else "bogus") in capsys.readouterr().err
 
 
 def test_unknown_set_key_exits_2(tmp_path, capsys):
@@ -908,6 +922,20 @@ def test_fewer_classes_than_labels_exits_2(tmp_path, command, capsys):
     ])
     assert rc == 2
     assert "2 classes" in capsys.readouterr().err
+
+
+def test_pixels_without_thresholds_exit_2(tmp_path, capsys):
+    """A bare netlist has no thermometer thresholds, so 0..255 pixels
+    cannot be its input bits."""
+    _tiny_mnist(tmp_path)
+    nl = tmp_path / "bare.netlist"
+    save_netlist(nl, harden(random_network(25, [16, 10], 10, 4, seed=0)))
+    rc = main([
+        "eval", "--netlist", str(nl), "--data", str(tmp_path),
+        "--set", "data.val_size=8",
+    ])
+    assert rc == 2
+    assert "encoding.mode=thermometer" in capsys.readouterr().err
 
 
 def _tiny_mnist_checkpoint(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import tracemalloc
 
@@ -6,8 +7,9 @@ import pytest
 
 from boolnet import pruning
 from boolnet.bitmatrix import BitMatrix
+from boolnet.cli import main
 from boolnet.data import synth_boolean_task
-from boolnet.errors import ConfigError, OversizedConeError, StructuralError
+from boolnet.errors import ConfigError, StructuralError
 from boolnet.model import (
     AND,
     CONST0,
@@ -40,7 +42,7 @@ from boolnet.pruning import (
     similarity_prune,
     trivial_prune,
 )
-from boolnet.serialize import dump_netlist
+from boolnet.serialize import dump_netlist, load_netlist, save_netlist
 from boolnet.training import EncodedSplits, TrainConfig, train
 
 
@@ -139,19 +141,6 @@ def test_support_never_exceeds_reachable_inputs():
             assert len(cone.support) <= 2 ** (li + 1)
 
 
-def test_oversized_cone_error_carries_location():
-    rng = np.random.default_rng(2)
-    # Wide fan-in, limit 4: some depth-3 gate should exceed it.
-    circuit = _random_circuit(rng, 40, [32, 32, 16])
-    with pytest.raises(OversizedConeError) as exc_info:
-        all_cones(circuit, limit=4)
-    err = exc_info.value
-    assert err.limit == 4
-    assert err.support_size > 4
-    assert 0 <= err.layer < 3
-    assert err.gate >= 0
-
-
 def test_cone_of_bad_location():
     circuit = _random_circuit(np.random.default_rng(3), 4, [4])
     with pytest.raises(StructuralError):
@@ -207,24 +196,48 @@ def test_24_input_cone_stays_small():
         assert cone.evaluate(dict(enumerate(row.tolist()))) == row.sum() % 2
 
 
-def test_25_input_union_raises_with_its_location():
-    # A parity tree over 25 inputs; the last layer's gate 1 joins 16 + 9.
-    def layer(pairs, codes):
-        return HardLayer(code=codes, in0=[p[0] for p in pairs], in1=[p[-1] for p in pairs])
+def _layer(pairs, codes) -> HardLayer:
+    return HardLayer(code=codes, in0=[p[0] for p in pairs], in1=[p[-1] for p in pairs])
 
+
+def _parity_tree_25(*tail: HardLayer) -> HardCircuit:
+    """Parity trees over 25 inputs: layer 3 holds one over inputs 0-15
+    and one over 16-24, and `tail` follows."""
     layers = [
-        layer([(2 * i, 2 * i + 1) for i in range(12)] + [(24,)], [XOR] * 12 + [PROJ_A]),
-        layer([(2 * i, 2 * i + 1) for i in range(6)] + [(12,)], [XOR] * 6 + [PROJ_A]),
-        layer([(0, 1), (2, 3), (4, 5), (6,)], [XOR] * 3 + [PROJ_A]),
-        layer([(0, 1), (2, 3)], [XOR, XOR]),
-        layer([(1,), (0, 1)], [PROJ_A, XOR]),
+        _layer([(2 * i, 2 * i + 1) for i in range(12)] + [(24,)], [XOR] * 12 + [PROJ_A]),
+        _layer([(2 * i, 2 * i + 1) for i in range(6)] + [(12,)], [XOR] * 6 + [PROJ_A]),
+        _layer([(0, 1), (2, 3), (4, 5), (6,)], [XOR] * 3 + [PROJ_A]),
+        _layer([(0, 1), (2, 3)], [XOR, XOR]),
     ]
-    circuit = HardCircuit(25, layers, 2, tau=1.0)
+    return HardCircuit(25, layers + list(tail), 2, tau=1.0)
+
+
+def test_25_input_union_has_no_cone():
+    # The last layer's gate 1 joins 16 + 9 inputs.
+    circuit = _parity_tree_25(_layer([(1,), (0, 1)], [PROJ_A, XOR]))
     assert len(cone_of(circuit, 3, 0).support) == 16
-    with pytest.raises(OversizedConeError) as exc_info:
-        cone_of(circuit, 4, 1)
-    err = exc_info.value
-    assert (err.layer, err.gate, err.support_size, err.limit) == (4, 1, 25, 24)
+    assert cone_of(circuit, 4, 1) is None
+
+
+def test_unproved_proposals_stay_unmerged(monkeypatch):
+    # Every signature row is 0, so XOR and OR of the two parities share a
+    # row although they differ; past the limit, neither may merge or
+    # become a constant.
+    n = 64 * pruning.SIGNATURE_WORDS
+    monkeypatch.setattr(
+        pruning,
+        "_signature_inputs",
+        lambda width: BitMatrix.from_array(np.zeros((n, width), np.uint8)),
+    )
+    circuit = _parity_tree_25(
+        _layer([(0, 1), (0, 1), (1,)], [XOR, OR, PROJ_A]),
+        _layer([(0,), (1,)], [PROJ_A, PROJ_A]),
+    )
+    pruned, report = logic_equivalence_prune(circuit)
+    assert (4, 1) not in report.reroute
+    assert pruned.layers[4].code.tolist()[:2] == [XOR, OR]
+    x = _random_inputs(np.random.default_rng(2), 4096, 25)
+    assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
 
 
 # --------------------------------------------------------------- trivial
@@ -467,12 +480,64 @@ def _random_inputs(rng, n: int, width: int) -> BitMatrix:
 
 
 def test_equivalence_prunes_deep_wide_circuit():
-    # 784 -> 6 x 300: the all-cones pass raised OversizedConeError on
-    # it (a layer-5 cone over 32 inputs). Only proposed gates need cones.
+    # 784 -> 6 x 300: a layer-5 cone spans 32 inputs, past the limit,
+    # but only proposed gates need cones.
     rng = np.random.default_rng(0)
     circuit = _random_circuit(rng, 784, [300] * 6)
     pruned, report = logic_equivalence_prune(circuit)
     assert report.removed > 0
+    x = _random_inputs(np.random.default_rng(1), 4096, 784)
+    assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
+
+
+def _deep_circuit(depth: int, seed: int) -> HardCircuit:
+    return _random_circuit(np.random.default_rng(seed), 784, [500] * depth)
+
+
+@pytest.mark.parametrize("depth, seed", [(7, 6), (7, 7), (8, 6), (8, 7)])
+def test_equivalence_leaves_cones_past_the_limit_unmerged(
+    depth, seed, monkeypatch
+):
+    # 784 -> depth x 500: some proposals need a cone over more than
+    # SUPPORT_LIMIT inputs. They stay unmerged, and each gate's cone is
+    # composed at most once, past the limit too.
+    circuit = _deep_circuit(depth, seed)
+    at, calls, past = [], collections.Counter(), []
+    cone, compose = pruning._cone, pruning.compose_cones
+
+    def located(circuit, li, gi, memo):
+        at.append((li, gi))
+        try:
+            return cone(circuit, li, gi, memo)
+        finally:
+            at.pop()
+
+    def counted(code, a, b):
+        calls[at[-1]] += 1
+        out = compose(code, a, b)
+        if out is None:
+            past.append(at[-1])
+        return out
+
+    monkeypatch.setattr(pruning, "_cone", located)
+    monkeypatch.setattr(pruning, "compose_cones", counted)
+    pruned, report = logic_equivalence_prune(circuit)
+    assert past
+    assert max(calls.values()) == 1
+    assert report.removed > 0
+    x = _random_inputs(np.random.default_rng(1), 4096, 784)
+    assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
+
+
+def test_cli_prunes_a_netlist_with_cones_past_the_limit(tmp_path):
+    circuit = _deep_circuit(8, 6)
+    nl = tmp_path / "deep.netlist"
+    save_netlist(nl, circuit)
+    assert main([
+        "prune", "--netlist", str(nl), "--passes", "trivial,equivalence",
+        "--out", str(tmp_path / "o"),
+    ]) == 0
+    pruned = load_netlist(tmp_path / "o" / "pruned.netlist")
     x = _random_inputs(np.random.default_rng(1), 4096, 784)
     assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
 
