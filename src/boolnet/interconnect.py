@@ -93,6 +93,8 @@ def _guided_top_r(
         return np.empty((S, 0), dtype=np.int64)
 
     ex_row, ex_idx = np.nonzero(k >= 0)[0], k[k >= 0]
+    by_idx = np.argsort(ex_idx, kind="stable")  # so each slice's are a range
+    ex_row, ex_idx = ex_row[by_idx], ex_idx[by_idx]
     loose = np.flatnonzero(~_exact_slots(dy))
     # Collected (slot, index, key) entries. Placeholders (+inf at index I)
     # give every slot R entries; at least R columns per slot key below
@@ -106,7 +108,7 @@ def _guided_top_r(
         block = dy.T @ xc
         if loose.size:
             block[loose] = connection_scores_chunk(xc, dy[:, loose])
-        hit = (ex_idx >= lo) & (ex_idx < hi)
+        hit = slice(*np.searchsorted(ex_idx, (lo, hi)))
         block[ex_row[hit], ex_idx[hit] - lo] = np.inf
         take = block < thr
         if lo == 0 and hi >= R:

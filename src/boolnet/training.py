@@ -29,6 +29,9 @@ from .interconnect import (
 from .model import TABLE_BITS, NetworkModel, circuit_logits, harden
 
 SAMPLING_MODES = ("random", "gradient_guided", "none")
+# Bytes of candidate bits connection_gradient gathers per block. Smaller
+# blocks ran slower at the desk shape; larger ones were no faster.
+GATHER_BYTES = 1 << 18
 INTERCONNECT_MODES = ("fixed", "learnable")
 
 
@@ -167,8 +170,14 @@ def connection_gradient(
     Computed as 2 * sum_b(x * dy) - sum_b(dy), which skips materializing
     the (B, G, 2, C) sign tensor. x_prev is transposed once to (I, B) in
     its own dtype (uint8 in training), so the candidate gather copies
-    whole contiguous batch rows into a (G, 2, C, B) array, and the sum
+    whole contiguous batch rows into a (gates, 2, C, B) array, and the sum
     over b runs along the last axis.
+
+    Gates go in blocks of at most GATHER_BYTES gathered bytes (or one
+    gate), so the extra memory stays cache-sized whatever G. Each block's
+    epilogue runs in place and is rounded once into the preallocated
+    output. einsum sums each element over b in an order that does not
+    depend on the block, so the bits are those of one whole gather.
 
     Accumulation is in float64. In training x is 0/1, so each product is
     0 or a float32 value of dy, exactly. A float64 sum of B float32
@@ -179,12 +188,19 @@ def connection_gradient(
     dtype = np.float64 if dslot.dtype == np.float64 else np.float32
     dslot = dslot.astype(dtype, copy=False)
     x_t = np.ascontiguousarray(np.asarray(x_prev).T)  # (I, B)
-    xc = np.take(x_t, candidates, axis=0)  # (G, 2, C, B)
-    xdy = np.einsum(
-        "gjcb,gjb->gjc", xc, dslot.transpose(1, 2, 0), dtype=np.float64
-    )
-    out = 2.0 * xdy - dslot.sum(axis=0, dtype=np.float64)[:, :, None]
-    return out.astype(dtype, copy=False)
+    dy = dslot.transpose(1, 2, 0)  # (G, 2, B)
+    out = np.empty(candidates.shape, dtype=dtype)
+    gate_bytes = x_t.itemsize * x_t.shape[1] * 2 * candidates.shape[2]
+    step = max(1, GATHER_BYTES // max(1, gate_bytes))
+    for lo in range(0, len(candidates), step):
+        block = slice(lo, lo + step)
+        xc = np.take(x_t, candidates[block], axis=0)  # (gates, 2, C, B)
+        xdy = np.einsum("gjcb,gjb->gjc", xc, dy[block], dtype=np.float64)
+        del xc
+        xdy *= 2.0
+        xdy -= dslot[:, block].sum(axis=0, dtype=np.float64)[:, :, None]
+        out[block] = xdy
+    return out
 
 
 def _scatter_plan(sel: np.ndarray):
@@ -301,7 +317,7 @@ def backward(
             t += base
             t *= dy
             dslot[:, :, j] = t
-        del t, a, b  # free before connection_gradient, the step's peak
+        del t, a, b, dya  # free before connection_gradient
 
         if phase is not None and phase.active_interconnect != li:
             dc = np.zeros_like(layer.conn_weights)
@@ -541,18 +557,17 @@ def train(
                     and config.sampling_mode != "none"
                     and global_step % config.beta == 0
                 ):
-                    if config.sampling_mode == "random":
-                        sampler = RandomSampler(rng)
-                    else:
-                        sampler = GradientGuidedSampler(
-                            cache.x_layers[li], grads.dy[li]
-                        )
                     refresh_candidates(
                         model.layers[li],
-                        sampler,
+                        RandomSampler(rng)
+                        if config.sampling_mode == "random"
+                        else GradientGuidedSampler(
+                            cache.x_layers[li], grads.dy[li]
+                        ),
                         config.R,
                         model.fan_in_width(li),
                     )
+                del xb, cache, grads, gdict  # free before the next forward
 
             now = time.monotonic() - t0
             metrics.append(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from boolnet.model import (
 )
 from boolnet.serialize import dump_netlist, parse_netlist
 from boolnet.training import (
+    GATHER_BYTES,
     Adam,
     EncodedSplits,
     Phase,
@@ -171,6 +174,54 @@ def test_connection_gradient_bit_equals_gather_oracle(B, x_dtype, dy_dtype):
     got = connection_gradient(x, cand, dy)
     assert got.dtype == dy_dtype
     assert np.array_equal(got, _gather_einsum_oracle(x, cand, dy))
+
+
+@pytest.mark.parametrize(
+    "x_dtype, dy_dtype", [(np.uint8, np.float32), (np.float64, np.float64)]
+)
+def test_connection_gradient_blocks_bit_equal_gather_oracle(x_dtype, dy_dtype):
+    """connection_gradient gathers GATHER_BYTES of candidate bits at a
+    time. One gate, fewer gates than a block, and a partly filled last
+    block all give the one-gather oracle's bits, with gradients whose
+    binary exponents span 2**40."""
+    rng = np.random.default_rng(11)
+    C, B, I = 8, 20, 500
+    per_block = GATHER_BYTES // (np.dtype(x_dtype).itemsize * 2 * C * B)
+    assert per_block > 3
+    for G in (1, per_block // 3, 2 * per_block + 7):
+        x = rng.integers(0, 2, size=(B, I)).astype(x_dtype)
+        cand = rng.integers(0, I, size=(G, 2, C)).astype(np.int32)
+        dy = rng.normal(size=(B, G, 2)) * np.exp2(
+            rng.integers(-20, 20, (B, G, 2))
+        )
+        dy = dy.astype(dy_dtype)
+        got = connection_gradient(x, cand, dy)
+        assert got.dtype == dy_dtype
+        assert np.array_equal(got, _gather_einsum_oracle(x, cand, dy))
+
+
+def test_connection_gradient_extra_memory_does_not_grow_with_gates():
+    """At the wide benchmark's shape (G = 12000, C = 8, B = 20,
+    I = 30720) the kernel allocates under 2 MB on top of its inputs,
+    output included; a single gather of every gate would take 8.9 MB.
+    Net of the output, that peak is the same when G doubles."""
+    rng = np.random.default_rng(12)
+    C, B, I = 8, 20, 30720
+    x = rng.integers(0, 2, size=(B, I)).astype(np.uint8)
+    extra = []
+    for G in (12000, 24000):
+        cand = rng.integers(0, I, size=(G, 2, C)).astype(np.int32)
+        dy = rng.normal(size=(B, G, 2)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = connection_gradient(x, cand, dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if G == 12000:
+            assert peak < 2 << 20
+        extra.append(peak - out.nbytes)
+    assert extra[1] <= extra[0] + (16 << 10)
 
 
 # ------------------------------------------------------------- backward
