@@ -9,16 +9,18 @@ disturbed. New indices are sampled outside the kept set: a collision
 would just duplicate a parameter.
 
 Gradient-guided sampling keys a whole layer per slice of input columns
-with one matrix product, p = dy.T @ x. Where no summation order can round
-(_exact_slots) the score 2p - sum_b dy is exact and increasing in p, so p
-ranks and ties as the score does; other slots are keyed by the sequential
-oracle score. The first slice's R-th key sets each slot's threshold, and
-later slices only collect the (slot, index, key) entries strictly below
-it: a tie has a higher index than R entries already held, and loses. One
-stable sort by (slot, key, index) keeps each slot's best R, and lowers the
-thresholds, whenever the collected entries pass COLLECT_BYTES and once at
-the end. Extra memory is O((batch + S) * chunk + S * R) plus that bound,
-whatever the fan-in width I.
+with one matrix product, p = x_slice.T @ dy, written into one reused
+buffer. Where no summation order can round (_exact_slots) the score
+2p - sum_b dy is exact and increasing in p, so p ranks and ties as the
+score does; other slots are keyed by the sequential oracle score. The
+first slice's R-th key sets each slot's threshold, and later slices only
+collect the (slot, index, key) entries strictly below it: a tie has a
+higher index than R entries already held, and loses. One stable sort by
+(slot, key, index) keeps each slot's best R, and lowers the thresholds,
+whenever the collected entries pass COLLECT_BYTES and once at the end.
+Extra memory is O(batch * S) for a float64 copy of dy, the slice buffer
+and a few slice-sized masks (O(S * chunk)), and O(S * R) for the kept
+entries plus the COLLECT_BYTES bound, whatever the fan-in width I.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ from .errors import StructuralError
 from .model import LayerParams, sample_distinct
 
 # Columns per slice when scoring one slot. A whole layer sizes its slices so
-# a (batch + S) x chunk float64 array is BLOCK_BYTES; a few such are live.
+# a (batch + S) x chunk float64 array is BLOCK_BYTES. Smaller slices ran
+# slower at the desk shape (S = 2000, B = 100); larger ones were no faster.
 CHUNK = 1024
-BLOCK_BYTES = 4 << 20
+BLOCK_BYTES = 2 << 20
 # A guided refresh reselects each slot's best R once the entries collected
-# since the last selection, 24 bytes each, pass this many bytes.
-COLLECT_BYTES = 1 << 20
+# since the last selection, 16 bytes each, pass this many bytes. A smaller
+# bound ran slower at the paper's width (S = 24000), where every selection
+# sorts S * R kept entries.
+COLLECT_BYTES = 1 << 18
 
 
 def connection_scores_chunk(x_cols: np.ndarray, dy_slot: np.ndarray) -> np.ndarray:
@@ -58,11 +63,60 @@ def _exact_slots(dy: np.ndarray) -> np.ndarray:
     """Slots whose scores every summation order computes exactly: dy[:, s]
     is a multiple of q, the smallest power of two dividing all of it, so
     with binary x every partial sum is a multiple of q no larger than
-    sum |dy[:, s]|, and below 2**53 * q no addition rounds."""
-    m, e = np.frexp(dy)
-    n = (m * 2.0**53).astype(np.int64)
-    q = np.where(n != 0, np.ldexp((n & -n).astype(np.float64), e - 53), np.inf)
-    return np.abs(dy).sum(axis=0) < np.ldexp(q.min(axis=0, initial=np.inf), 53)
+    sum |dy[:, s]|, and below 2**53 * q no addition rounds.
+
+    The same argument makes the test's own sum exact below 2**53 * q, and
+    once it reaches that it cannot round back under, so the mask does not
+    depend on the order of the sum. Slots go in blocks whose eight or so
+    temporaries together stay under one slice's BLOCK_BYTES.
+    """
+    B, S = dy.shape
+    step = max(1, BLOCK_BYTES // (64 * max(1, B)))
+    exact = np.empty(S, dtype=bool)
+    for a in range(0, S, step):
+        d = dy[:, a : a + step]
+        m, e = np.frexp(d)
+        n = (m * 2.0**53).astype(np.int64)
+        low = np.ldexp((n & -n).astype(np.float64), e - 53)
+        q = np.where(n != 0, low, np.inf)
+        bound = np.ldexp(q.min(axis=0, initial=np.inf), 53)
+        exact[a : a + step] = np.abs(d).sum(axis=0) < bound
+    return exact
+
+
+def _keep_best(R: int, S: int, parts: list, n_new: int) -> None:
+    """Replace `parts` by one part: each slot's best R of its entries in
+    them, in (key, index) order.
+
+    parts[0] is (indices, keys) of R held entries per slot in that order.
+    Each later part (lo, flat, keys) was collected from a (columns, S)
+    slice starting at column lo, at flat positions; n_new entries in all.
+    Complex numbers sort by (real, imag), here (slot, key). A slot's held
+    entries come first and have the lower indices (or are +inf
+    placeholders that no collected key ties), and its collected ones
+    follow in index order, so the stable sort breaks ties by index.
+    """
+    z = np.empty(S * R + n_new, dtype=np.complex128)
+    idx = np.empty(z.size, dtype=np.int32)
+    z[: S * R].reshape(S, R).real[:] = np.arange(S)[:, None]
+    idx[: S * R], z.imag[: S * R] = parts[0]
+    at = S * R
+    for lo, flat, key in parts[1:]:
+        to = slice(at, at + flat.size)
+        np.remainder(flat, S, out=z.real[to])
+        z.imag[to] = key
+        np.floor_divide(flat, S, out=idx[to], casting="unsafe")
+        idx[to] += lo
+        at += flat.size
+    del parts[:]
+    flat = key = None  # free the parts before the sort
+    order = np.argsort(z, kind="stable")
+    first = np.empty(S, dtype=np.complex128)
+    first.real, first.imag = np.arange(S), -np.inf
+    first = np.searchsorted(z, first, sorter=order)
+    pick = order[first[:, None] + np.arange(R)].reshape(-1)
+    del order
+    parts.append((idx[pick], z.imag[pick]))
 
 
 def _guided_top_r(
@@ -71,9 +125,10 @@ def _guided_top_r(
     """(S, R) indices: for each column s of dy (B, S), the R most negative
     connection gradients outside kept[s], ordered by (score, index).
 
-    A slice is keyed for all slots at once by the product p = dy.T @ x.
-    On _exact_slots the score 2p - sum_b dy is exact and increasing in p,
-    so p ranks and ties as the score does. Other slots are keyed by
+    A slice of columns is keyed for all slots at once by the product
+    p = x_slice.T @ dy, (columns, S), into one reused buffer. On
+    _exact_slots the score 2p - sum_b dy is exact and increasing in p, so
+    p ranks and ties as the score does. Other slots are keyed by
     connection_scores_chunk, the oracle itself. Keys are only compared
     within a slot.
     """
@@ -92,57 +147,59 @@ def _guided_top_r(
     if R == 0:
         return np.empty((S, 0), dtype=np.int64)
 
-    ex_row, ex_idx = np.nonzero(k >= 0)[0], k[k >= 0]
-    by_idx = np.argsort(ex_idx, kind="stable")  # so each slice's are a range
-    ex_row, ex_idx = ex_row[by_idx], ex_idx[by_idx]
+    # Exclusions as flat positions index * S + slot, sorted, so a slice's
+    # are a range and land in its (columns, S) block by one offset.
+    ex = np.sort(k[k >= 0].astype(np.int64) * S + np.nonzero(k >= 0)[0])
+    del k
     loose = np.flatnonzero(~_exact_slots(dy))
-    # Collected (slot, index, key) entries. Placeholders (+inf at index I)
-    # give every slot R entries; at least R columns per slot key below
-    # +inf, so real columns displace them all.
-    slot_of = np.repeat(np.arange(S), R)
-    parts = [(slot_of, np.full(S * R, I), np.full(S * R, np.inf))]
-    thr = np.full((S, 1), np.inf)
+    # Each slot's best R so far in (key, index) order, then the entries
+    # collected since, with n_new keys in all. Placeholders (+inf at index
+    # I) fill the held ones at first; at least R columns per slot key
+    # below +inf, so real columns displace them all.
+    parts = [(np.full(S * R, I, dtype=np.int32), np.full(S * R, np.inf))]
+    thr, n_new = np.full(S, np.inf), 0
+    buf = np.empty(min(chunk, I) * S)
     for lo in range(0, I, chunk):
         hi = min(lo + chunk, I)
-        xc = x[:, lo:hi].astype(np.float64)
-        block = dy.T @ xc
+        block = buf[: (hi - lo) * S].reshape(hi - lo, S)
+        np.matmul(x[:, lo:hi].T.astype(np.float64), dy, out=block)
         if loose.size:
-            block[loose] = connection_scores_chunk(xc, dy[:, loose])
-        hit = slice(*np.searchsorted(ex_idx, (lo, hi)))
-        block[ex_row[hit], ex_idx[hit] - lo] = np.inf
-        take = block < thr
+            block[:, loose] = connection_scores_chunk(
+                x[:, lo:hi], dy[:, loose]
+            ).T
+        hit = slice(*np.searchsorted(ex, (lo * S, hi * S)))
+        block.reshape(-1)[ex[hit] - lo * S] = np.inf
         if lo == 0 and hi >= R:
-            # The first slice's R-th key sets each slot's threshold (a
-            # copy: a view would keep the partitioned slice alive). Of
-            # the columns tied at it, the lowest indices complete the R.
-            thr = np.partition(block, R - 1, axis=1)[:, R - 1 : R].copy()
+            # The first slice's R-th key sets each slot's threshold, found
+            # a few slots at a time so each partitioned copy stays under
+            # COLLECT_BYTES.
+            # Of the columns tied at it, the lowest indices complete the R.
+            thr = np.empty(S)
+            step = max(1, COLLECT_BYTES // (8 * (hi - lo)))
+            for a in range(0, S, step):
+                thr[a : a + step] = np.partition(
+                    block[:, a : a + step], R - 1, axis=0
+                )[R - 1]
             take = block < thr
             tie = block == thr
-            need = R - take.sum(axis=1, keepdims=True)
-            many = np.flatnonzero(tie.sum(axis=1) > need[:, 0])
-            rank = np.cumsum(tie[many], axis=1, dtype=np.int32)
-            tie[many] &= rank <= need[many]
+            need = R - take.sum(axis=0)
+            many = np.flatnonzero(tie.sum(axis=0) > need)
+            rank = np.cumsum(tie[:, many], axis=0, dtype=np.int32)
+            tie[:, many] &= rank <= need[many]
             take |= tie
-        r, c = np.divmod(np.flatnonzero(take), hi - lo)
-        parts.append((r, c + lo, block[r, c]))
-        if 24 * sum(len(p[0]) for p in parts[1:]) <= COLLECT_BYTES and hi < I:
-            continue
-        # Keep each slot's best R by (key, index): complex numbers sort by
-        # (real, imag), here (slot, key), and a slot's entries follow its
-        # kept ones in index order. The kept ones are in (key, index) order
-        # with lower indices, bar the +inf placeholders that no collected
-        # key ties, so the stable sort breaks ties by index.
-        r, c, v = map(np.concatenate, zip(*parts))
-        parts.clear()  # free the parts before the sort
-        z = np.empty(r.size, dtype=np.complex128)
-        z.real, z.imag = r, v
-        del r, v
-        order = np.argsort(z, kind="stable")
-        first = np.searchsorted(z.real[order], np.arange(S))
-        pick = order[first[:, None] + np.arange(R)].reshape(-1)
-        parts = [(slot_of, c[pick], z.imag[pick])]
-        thr = z.imag[pick].reshape(S, R)[:, R - 1 :]
-    return parts[0][1].reshape(S, R)
+            del tie, need, rank
+        else:
+            take = block < thr
+        flat = np.flatnonzero(take)
+        del take
+        parts.append((lo, flat, block.reshape(-1)[flat]))
+        n_new += flat.size
+        if 16 * n_new > COLLECT_BYTES and hi < I:
+            _keep_best(R, S, parts, n_new)
+            thr, n_new = parts[0][1][R - 1 :: R].copy(), 0
+    del buf, block  # free the slice before the last selection
+    _keep_best(R, S, parts, n_new)
+    return parts[0][0].reshape(S, R).astype(np.int64)
 
 
 def sample_gradient_guided(

@@ -113,7 +113,9 @@ class ForwardCache:
 class BatchGradients:
     d_logits: list[np.ndarray]  # (G, 16) per layer
     d_conn: list[np.ndarray]  # (G, 2, C) per layer
-    dy: list[np.ndarray]  # (B, G, 2) slot gradients per layer
+    # (B, G, 2) slot gradients of each layer whose connection gradient was
+    # computed (the refresh reads them), else None.
+    dy: list[np.ndarray | None]
     loss: float = 0.0
 
 
@@ -321,13 +323,14 @@ def backward(
 
         if phase is not None and phase.active_interconnect != li:
             dc = np.zeros_like(layer.conn_weights)
+            d_slots.append(None)
         else:
             dc = connection_gradient(
                 cache.x_layers[li], layer.candidates, dslot
             )
+            d_slots.append(dslot)
         d_logits.append(dl)
         d_conn.append(dc)
-        d_slots.append(dslot)
 
         if li > 0:
             sel = cache.sel[li]

@@ -438,23 +438,46 @@ def test_whole_layer_memory_does_not_grow_with_width():
     assert peaks[-1] < peaks[0] * 1.25 + 64 * 1024
 
 
-def test_desk_shape_guided_refresh_peak_memory():
-    """A guided refresh at the desk shape (S = 2000 slots, B = 100,
-    I = 2352) allocates at most 13.5 MB at its peak: the measured peak of
-    13,173,126 bytes plus room for small-object noise. One more live
-    slice-sized float64 block (about 4 MB) would exceed it, such as the
-    partitioned first slice if the thresholds stayed a view into it
-    (16,247,293 bytes)."""
+def _guided_refresh_peak(B, G, I):
+    """tracemalloc peak of a warm GradientGuidedSampler.sample_many with
+    R = 4 and 4 kept indices per slot (a repeat is one exclusion), on
+    x = (random < 0.3) and dy = N(0, 1e-3) float32, seed 5."""
     rng = np.random.default_rng(5)
-    B, G, I, C, R = 100, 1000, 2352, 8, 4
+    R = 4
     x = (rng.random((B, I)) < 0.3).astype(np.uint8)
     dy = (rng.normal(size=(B, G, 2)) * 1e-3).astype(np.float32)
-    kept = np.stack([rng.choice(I, size=C - R, replace=False)
-                     for _ in range(2 * G)])
+    kept = rng.integers(0, I, size=(2 * G, 4))
     sampler = GradientGuidedSampler(x, dy)
     sampler.sample_many(R, I, kept)  # warm allocator paths
     tracemalloc.start()
-    sampler.sample_many(R, I, kept)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert peak <= 13_500_000
+    try:
+        sampler.sample_many(R, I, kept)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_desk_shape_guided_refresh_peak_memory():
+    """A guided refresh at the desk shape (S = 2000 slots, B = 100,
+    I = 2352) allocates at most 5.2 MB at its peak: the measured peak of
+    4,845,209 bytes plus room for small-object noise. One more live
+    slice-sized float64 block (about 2 MB) would exceed it, such as the
+    first slice partitioned whole to find the thresholds."""
+    assert _guided_refresh_peak(100, 1000, 2352) <= 5_200_000
+
+
+def test_paper_width_guided_refresh_peak_memory():
+    """At the paper's slot count (G = 12000, so S = 24000; B = 20) a
+    refresh over I = 3072 columns peaks at 14,594,333 bytes, set by the
+    selection that merges the first slice's S * R entries with the S * R
+    placeholders. Holding the merged parts through the sort, or a second
+    slice buffer, would exceed the 15 MB bound."""
+    assert _guided_refresh_peak(20, 12000, 3072) <= 15_000_000
+
+
+def test_desk_guided_refresh_peak_does_not_grow_with_width():
+    """At the desk slot count the peak is the same when the fan-in width
+    quadruples (2352 -> 9408): nothing the refresh keeps grows with I."""
+    narrow = _guided_refresh_peak(100, 1000, 2352)
+    wide = _guided_refresh_peak(100, 1000, 4 * 2352)
+    assert wide <= narrow + 64 * 1024
