@@ -115,8 +115,5 @@ class BitMatrix:
             self.words, other.words
         )
 
-    def __hash__(self):
-        return hash((self.n_samples, self.words.tobytes()))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.n_samples}x{self.n_signals})"

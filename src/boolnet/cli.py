@@ -31,11 +31,11 @@ from .errors import ConfigError, IngestionError, StructuralError
 from .model import (
     HardCircuit,
     estimate_interconnect_memory,
+    eval_circuit,
     format_bytes,
-    group_logits,
     harden,
-    predict,
     random_network,
+    score,
 )
 from .pruning import (
     greedy_prune,
@@ -343,11 +343,9 @@ def cmd_prune(args, cfg) -> tuple[str, list[str]]:
                 circuit, bits, (profile, before, report.kept)
             )
             if accuracy is None or profile.changed[-1].any():
-                logits = group_logits(
-                    profile.words[-1], bits.n_samples, circuit.num_classes,
-                    circuit.tau,
-                )
-                accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+                accuracy = score(
+                    circuit, profile.words[-1], bits.n_samples, labels
+                )[2]
             report.accuracy_after = accuracy
         rows.extend(report.csv_rows())
         print(
@@ -378,11 +376,11 @@ def cmd_eval(args, cfg) -> tuple[str, list[str]]:
     bits, labels, provenance = _encoded_split_for_circuit(
         args, circuit, thresholds, cfg
     )
-    pred = predict(circuit, bits)
-    acc = float(np.mean(pred == labels))
+    _, pred, acc = score(
+        circuit, eval_circuit(circuit, bits).words, bits.n_samples, labels
+    )
     k = circuit.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (labels, pred), 1)
+    confusion = np.bincount(labels * k + pred, minlength=k * k).reshape(k, k)
 
     print(f"{args.split} accuracy {acc:.4f} on {len(labels)} samples")
     if not args.out:

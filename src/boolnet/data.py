@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitmatrix import BitMatrix
 from .errors import IngestionError, StructuralError
-from .model import HardCircuit, HardLayer, predict
+from .model import HardCircuit, HardLayer, eval_circuit, score
 
 VAL_SIZE = 5000
 
@@ -245,7 +245,8 @@ def synth_boolean_task(
         num_classes = 2
     else:
         teacher = _random_teacher(rng, n_features)
-        y = predict(teacher, BitMatrix.from_array(x))
+        final = eval_circuit(teacher, BitMatrix.from_array(x))
+        y = score(teacher, final.words, n_samples)[1]
         meta["teacher"] = teacher
         num_classes = teacher.num_classes
     n_train = int(0.7 * n_samples)

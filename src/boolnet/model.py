@@ -63,13 +63,6 @@ DEPENDS_B = np.array(
 )
 
 
-def eval_code(code, a, b):
-    """Evaluate gate tables elementwise on 0/1 arrays."""
-    code = np.asarray(code)
-    idx = 2 * np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return ((code >> idx) & 1).astype(np.uint8)
-
-
 def _as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
 
@@ -446,20 +439,29 @@ def group_logits(
     return np.einsum("kpn,p->nk", bits, weights) / float(tau)
 
 
-def circuit_logits(circuit: HardCircuit, inputs: BitMatrix) -> np.ndarray:
-    """Class logits of the hardened circuit: (samples x classes) float64,
-    equal to the training forward's logits of the model it came from."""
-    final = eval_circuit_layers(circuit, inputs)[-1]
-    return group_logits(final, inputs.n_samples, circuit.num_classes, circuit.tau)
-
-
-def predict(circuit: HardCircuit, inputs: BitMatrix) -> np.ndarray:
-    return np.argmax(circuit_logits(circuit, inputs), axis=1).astype(np.int64)
+def score(
+    circuit: HardCircuit, words: np.ndarray, n_samples: int, labels=None
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Class logits, predicted classes and accuracy of `circuit` from its
+    final layer's signal-major words. The logits ((samples x classes)
+    float64, `group_logits`) equal the training forward's of the model
+    the circuit came from; ties predict the lowest class. Accuracy is None
+    without labels."""
+    logits = group_logits(words, n_samples, circuit.num_classes, circuit.tau)
+    predictions = np.argmax(logits, axis=1)
+    if labels is None:
+        return logits, predictions, None
+    labels = np.asarray(labels)
+    if labels.shape != (n_samples,):
+        raise StructuralError(
+            f"labels of shape {labels.shape} for {n_samples} samples"
+        )
+    return logits, predictions, float(np.mean(predictions == labels))
 
 
 def accuracy(circuit: HardCircuit, inputs: BitMatrix, labels) -> float:
-    labels = np.asarray(labels)
-    return float(np.mean(predict(circuit, inputs) == labels))
+    final = eval_circuit(circuit, inputs)
+    return score(circuit, final.words, final.n_samples, labels)[2]
 
 
 @dataclass(frozen=True)

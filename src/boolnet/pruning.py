@@ -47,8 +47,7 @@ class ConeFunction:
     genuinely depends on. `bits` is the truth table as one int: bit r is
     the value under the assignment where bit v of r is the value of
     support[v], so a 24-input table is a 2 MB int. Equality of (support,
-    bits) is therefore semantic equality. `table` gives the table as
-    bytes, one 0/1 byte per entry.
+    bits) is therefore semantic equality; a constant's `bits` is its value.
     """
 
     support: tuple[int, ...]
@@ -63,26 +62,8 @@ class ConeFunction:
         return cls((i,), 0b10)
 
     @property
-    def table(self) -> bytes:
-        n = 1 << len(self.support)
-        packed = np.frombuffer(self.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(packed, count=n, bitorder="little").tobytes()
-
-    @property
     def is_constant(self) -> bool:
         return not self.support
-
-    @property
-    def constant_value(self) -> int:
-        if not self.is_constant:
-            raise StructuralError("cone is not constant")
-        return self.bits
-
-    def evaluate(self, assignment: dict[int, int]) -> int:
-        r = 0
-        for v, var in enumerate(self.support):
-            r |= (assignment[var] & 1) << v
-        return (self.bits >> r) & 1
 
 
 def _low(v: int, m: int) -> int:
@@ -166,26 +147,6 @@ def _cone(
         cone = None if None in read else compose_cones(code, read[0], read[-1])
     memo[(li, gi)] = cone
     return cone
-
-
-def all_cones(circuit: HardCircuit) -> list[list[ConeFunction | None]]:
-    """Cone of every gate, layer by layer; None past SUPPORT_LIMIT."""
-    memo: dict = {}
-    return [
-        [_cone(circuit, li, gi, memo) for gi in range(lay.n_gates)]
-        for li, lay in enumerate(circuit.layers)
-    ]
-
-
-def cone_of(circuit: HardCircuit, layer: int, gate: int) -> ConeFunction | None:
-    """Exact support-reduced function of one gate over primary inputs, or
-    None when that cone, or one it is built from, needs more than
-    SUPPORT_LIMIT inputs."""
-    if not (0 <= layer < len(circuit.layers)):
-        raise StructuralError(f"no layer {layer}")
-    if not (0 <= gate < circuit.layers[layer].n_gates):
-        raise StructuralError(f"no gate {gate} in layer {layer}")
-    return _cone(circuit, layer, gate, {})
 
 
 @dataclass
@@ -391,9 +352,6 @@ class ActivationProfile:
     ones: list[np.ndarray]
     sample_count: int
     changed: list[np.ndarray]
-
-    def frequency(self, layer: int, gate: int) -> float:
-        return self.ones[layer][gate] / self.sample_count
 
 
 def profile_activations(

@@ -26,7 +26,7 @@ from .interconnect import (
     RandomSampler,
     refresh_candidates,
 )
-from .model import TABLE_BITS, NetworkModel, circuit_logits, harden
+from .model import TABLE_BITS, NetworkModel, eval_circuit, harden, score
 
 SAMPLING_MODES = ("random", "gradient_guided", "none")
 # Bytes of candidate bits connection_gradient gathers per block. Smaller
@@ -471,11 +471,13 @@ def evaluate_arrays(
 ) -> tuple[float, float]:
     """(accuracy, cross-entropy) of the hardened model on 0/1 inputs.
 
-    Runs the argmax-hardened circuit on packed words (`circuit_logits`),
-    whose logits equal the training forward's exactly.
+    Runs the argmax-hardened circuit on packed words and scores its final
+    layer with `model.score`, whose logits equal the training forward's
+    exactly.
     """
-    logits = circuit_logits(harden(model), BitMatrix.from_array(x))
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == y))
+    circuit = harden(model)
+    final = eval_circuit(circuit, BitMatrix.from_array(x))
+    logits, _, accuracy = score(circuit, final.words, final.n_samples, y)
     return accuracy, cross_entropy(logits, y)
 
 

@@ -18,7 +18,7 @@ from boolnet.data import (
     synth_boolean_task,
 )
 from boolnet.errors import IngestionError, StructuralError
-from boolnet.model import predict
+from boolnet.model import eval_circuit, score
 
 
 def _write_idx(path, dims, payload, magic):
@@ -265,7 +265,8 @@ def test_synth_threshold_vote_labels():
 def test_synth_teacher_is_reproducible_oracle():
     ds = synth_boolean_task("random-circuit-teacher", 6, 200, seed=4)
     teacher = ds.meta["teacher"]
-    again = predict(teacher, BitMatrix.from_array(ds.features))
+    final = eval_circuit(teacher, BitMatrix.from_array(ds.features))
+    again = score(teacher, final.words, final.n_samples)[1]
     assert np.array_equal(ds.labels, again)
 
 

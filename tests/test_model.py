@@ -30,17 +30,25 @@ from boolnet.model import (
     estimate_interconnect_memory,
     eval_circuit,
     eval_circuit_layers,
-    eval_code,
     format_bytes,
     group_logits,
     harden,
-    predict,
     random_network,
     sample_distinct,
+    score,
 )
+from boolnet.training import evaluate_arrays
 
 
 # ---------------------------------------------------------------- tables
+
+
+def eval_code(code, a, b):
+    """Evaluate gate tables elementwise on 0/1 arrays: the minterm
+    reference, (code >> (2a + b)) & 1."""
+    code = np.asarray(code)
+    idx = 2 * np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
+    return ((code >> idx) & 1).astype(np.uint8)
 
 
 def test_named_codes_truth_tables():
@@ -381,17 +389,38 @@ def test_group_logits_rejects_ragged_width():
         group_logits(np.zeros((10, 1), dtype=np.uint64), 1, 3, tau=1.0)
 
 
-def test_predict_and_accuracy():
+def _two_class_projections() -> HardCircuit:
     lay = HardLayer(
         code=[PROJ_A, PROJ_A, PROJ_B, PROJ_B],
         in0=[0, 0, 0, 0],
         in1=[1, 1, 1, 1],
     )
-    circuit = HardCircuit(2, [lay], 2, tau=1.0)
+    return HardCircuit(2, [lay], 2, tau=1.0)
+
+
+def test_predict_and_accuracy():
+    circuit = _two_class_projections()
     x = BitMatrix.from_array([[1, 0], [0, 1], [1, 1]])
-    pred = predict(circuit, x)
+    final = eval_circuit(circuit, x).words
+    logits, pred, acc = score(circuit, final, 3, [0, 1, 1])
+    assert np.array_equal(logits, [[2, 0], [0, 2], [2, 2]])
     assert np.array_equal(pred, [0, 1, 0])  # argmax ties -> class 0
-    assert accuracy(circuit, x, [0, 1, 1]) == pytest.approx(2 / 3)
+    assert acc == pytest.approx(2 / 3)
+    assert accuracy(circuit, x, [0, 1, 1]) == acc
+    unlabelled = score(circuit, final, 3)
+    assert np.array_equal(unlabelled[1], pred) and unlabelled[2] is None
+
+
+@pytest.mark.parametrize("labels", [[0], [0, 1], [0, 1, 1, 0], [[0, 1, 1]]])
+def test_label_count_must_match_sample_count(labels):
+    # Broadcasting once scored one label against three samples.
+    circuit = _two_class_projections()
+    x = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
+    with pytest.raises(StructuralError, match="for 3 samples"):
+        accuracy(circuit, BitMatrix.from_array(x), labels)
+    model = random_network(2, [4], 2, candidates_per_slot=2, seed=0)
+    with pytest.raises(StructuralError, match="for 3 samples"):
+        evaluate_arrays(model, x, np.array(labels))
 
 
 # ---------------------------------------------------------------- memory

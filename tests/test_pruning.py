@@ -31,10 +31,9 @@ from boolnet.model import (
 )
 from boolnet.pruning import (
     ConeFunction,
+    _cone,
     _pair_correlations,
-    all_cones,
     compose_cones,
-    cone_of,
     greedy_prune,
     logic_equivalence_prune,
     phi_from_counts,
@@ -74,22 +73,41 @@ def _random_circuit(rng, width_in, widths) -> HardCircuit:
 # ------------------------------------------------------------------ cones
 
 
+def _evaluate(cone: ConeFunction, assignment: dict[int, int]) -> int:
+    """The cone's value where input i is assignment[i]."""
+    r = sum((assignment[var] & 1) << v for v, var in enumerate(cone.support))
+    return (cone.bits >> r) & 1
+
+
+def _table(cone: ConeFunction) -> np.ndarray:
+    """The cone's truth table, one uint8 per entry."""
+    n = 1 << len(cone.support)
+    packed = np.frombuffer(cone.bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _all_cones(circuit: HardCircuit) -> list[list[ConeFunction | None]]:
+    """Cone of every gate, layer by layer; None past SUPPORT_LIMIT."""
+    memo: dict = {}
+    return [
+        [_cone(circuit, li, gi, memo) for gi in range(lay.n_gates)]
+        for li, lay in enumerate(circuit.layers)
+    ]
+
+
 def test_cone_primitives():
     c0 = ConeFunction.constant(0)
-    assert c0.is_constant and c0.constant_value == 0
+    assert c0.is_constant and c0.bits == 0
     x3 = ConeFunction.input_var(3)
-    assert x3.support == (3,)
-    assert x3.evaluate({3: 0}) == 0 and x3.evaluate({3: 1}) == 1
-    with pytest.raises(StructuralError):
-        ConeFunction.constant(0).constant_value  # fine
-        ConeFunction.input_var(0).constant_value  # not constant
+    assert x3.support == (3,) and not x3.is_constant
+    assert _evaluate(x3, {3: 0}) == 0 and _evaluate(x3, {3: 1}) == 1
 
 
 def test_xor_of_same_input_is_constant_zero():
     x = ConeFunction.input_var(3)
     cone = compose_cones(XOR, x, x)
     assert cone.support == ()
-    assert cone.constant_value == 0
+    assert cone.bits == 0
 
 
 def test_absorption_reduces_support():
@@ -100,7 +118,7 @@ def test_absorption_reduces_support():
     assert inner.support == (1, 2)
     outer = compose_cones(AND, x1, inner)
     assert outer.support == (1,)
-    assert outer.table == bytes([0, 1])
+    assert np.array_equal(_table(outer), [0, 1])
 
 
 def test_compose_matches_truth_table():
@@ -109,7 +127,7 @@ def test_compose_matches_truth_table():
     cone = compose_cones(NAND, a, b)
     for va in (0, 1):
         for vb in (0, 1):
-            assert cone.evaluate({0: va, 2: vb}) == 1 - (va & vb)
+            assert _evaluate(cone, {0: va, 2: vb}) == 1 - (va & vb)
 
 
 def test_cone_of_matches_exhaustive_eval():
@@ -117,7 +135,7 @@ def test_cone_of_matches_exhaustive_eval():
     circuit = _random_circuit(rng, 5, [7, 6, 4])
     x = _all_inputs(5).to_array()
     acts = x
-    cones = all_cones(circuit)
+    cones = _all_cones(circuit)
     for li, layer in enumerate(circuit.layers):
         nxt = np.zeros((32, layer.n_gates), dtype=np.uint8)
         for g in range(layer.n_gates):
@@ -125,10 +143,10 @@ def test_cone_of_matches_exhaustive_eval():
             b = acts[:, layer.in1[g]]
             nxt[:, g] = (int(layer.code[g]) >> (2 * a + b)) & 1
             cone = cones[li][g]
-            assert cone == cone_of(circuit, li, g)
+            assert cone == _cone(circuit, li, g, {})
             for s in range(32):
                 assign = {i: int(x[s, i]) for i in range(5)}
-                assert cone.evaluate(assign) == nxt[s, g]
+                assert _evaluate(cone, assign) == nxt[s, g]
         acts = nxt
 
 
@@ -136,17 +154,9 @@ def test_support_never_exceeds_reachable_inputs():
     # Depth-d cones reach at most 2^d inputs.
     rng = np.random.default_rng(1)
     circuit = _random_circuit(rng, 16, [12, 10, 8])
-    for li, layer_cones in enumerate(all_cones(circuit)):
+    for li, layer_cones in enumerate(_all_cones(circuit)):
         for cone in layer_cones:
             assert len(cone.support) <= 2 ** (li + 1)
-
-
-def test_cone_of_bad_location():
-    circuit = _random_circuit(np.random.default_rng(3), 4, [4])
-    with pytest.raises(StructuralError):
-        cone_of(circuit, 1, 0)
-    with pytest.raises(StructuralError):
-        cone_of(circuit, 0, 99)
 
 
 def test_cones_equal_exhaustive_eval_on_16_inputs():
@@ -158,12 +168,12 @@ def test_cones_equal_exhaustive_eval_on_16_inputs():
     bits = x.to_array()
     acts = eval_circuit_layers(circuit, x)
     widest = 0
-    for li, layer_cones in enumerate(all_cones(circuit)):
+    for li, layer_cones in enumerate(_all_cones(circuit)):
         want = BitMatrix(acts[li], 1 << 16).to_array()
         for gi, cone in enumerate(layer_cones):
             k = len(cone.support)
             widest = max(widest, k)
-            table = np.frombuffer(cone.table, dtype=np.uint8)
+            table = _table(cone)
             r = bits[:, list(cone.support)].astype(np.int64) @ (1 << np.arange(k))
             assert np.array_equal(table[r], want[:, gi])
             nd = table.reshape((2,) * k, order="F")  # every support input is read
@@ -193,7 +203,7 @@ def test_24_input_cone_stays_small():
     assert repr(cone) == f"ConeFunction(support={tuple(range(24))})"  # no 2 MB int
     rng = np.random.default_rng(14)
     for row in rng.integers(0, 2, size=(64, 24)):
-        assert cone.evaluate(dict(enumerate(row.tolist()))) == row.sum() % 2
+        assert _evaluate(cone, dict(enumerate(row.tolist()))) == row.sum() % 2
 
 
 def _layer(pairs, codes) -> HardLayer:
@@ -215,8 +225,8 @@ def _parity_tree_25(*tail: HardLayer) -> HardCircuit:
 def test_25_input_union_has_no_cone():
     # The last layer's gate 1 joins 16 + 9 inputs.
     circuit = _parity_tree_25(_layer([(1,), (0, 1)], [PROJ_A, XOR]))
-    assert len(cone_of(circuit, 3, 0).support) == 16
-    assert cone_of(circuit, 4, 1) is None
+    assert len(_cone(circuit, 3, 0, {}).support) == 16
+    assert _cone(circuit, 4, 1, {}) is None
 
 
 def test_unproved_proposals_stay_unmerged(monkeypatch):
@@ -372,7 +382,7 @@ def _oracle_equivalence(circuit: HardCircuit):
     circuit = circuit.copy()
     n_layers = len(circuit.layers)
     reroute = {}
-    for li, cones in enumerate(all_cones(circuit)):
+    for li, cones in enumerate(_all_cones(circuit)):
         layer = circuit.layers[li]
         is_final = li == n_layers - 1
         buckets, rep_of = {}, {}
@@ -387,14 +397,14 @@ def _oracle_equivalence(circuit: HardCircuit):
                 rep_of[gi] = gi
         for gi, cone in enumerate(cones):
             if cone.is_constant and (rep_of[gi] == gi or is_final):
-                layer.code[gi] = CONST1 if cone.constant_value else CONST0
+                layer.code[gi] = CONST1 if cone.bits else CONST0
                 layer.in0[gi] = layer.in1[gi] = 0
         if not is_final:
             mapping = np.array([rep_of[g] for g in range(layer.n_gates)])
             for gi, rep in rep_of.items():
                 if rep != gi:
                     reroute[(li, gi)] = (
-                        ("const", cones[gi].constant_value)
+                        ("const", cones[gi].bits)
                         if cones[gi].is_constant
                         else ("gate", li, rep)
                     )
@@ -567,12 +577,12 @@ def test_equivalence_settles_constant_classes_in_every_layer():
         (1, 5): ("gate", 1, 3),
     }
     # Each reroute names its class's lowest-indexed member.
-    cones = all_cones(circuit)
+    cones = _all_cones(circuit)
     for (li, gi), verdict in merges.items():
         lowest = next(j for j, cone in enumerate(cones[li]) if cone == cones[li][gi])
         assert lowest < gi
         assert verdict == (
-            ("const", cones[li][gi].constant_value) if cones[li][gi].is_constant
+            ("const", cones[li][gi].bits) if cones[li][gi].is_constant
             else ("gate", li, lowest)
         )
     # The final layer keeps every gate and gains only constants.
@@ -606,7 +616,7 @@ def test_profile_matches_dense_counts():
         dense = BitMatrix(words, 100).to_array()
         assert np.array_equal(profile.ones[li], dense.sum(axis=0))
         for g in range(dense.shape[1]):
-            assert profile.frequency(li, g) == dense[:, g].mean()
+            assert profile.ones[li][g] / profile.sample_count == dense[:, g].mean()
 
 
 PASSES = {

@@ -8,10 +8,10 @@ from boolnet.data import synth_boolean_task
 from boolnet.errors import ConfigError, StructuralError
 from boolnet.model import (
     accuracy,
-    circuit_logits,
     eval_circuit_layers,
     harden,
     random_network,
+    score,
 )
 from boolnet.serialize import dump_netlist, parse_netlist
 from boolnet.training import (
@@ -66,7 +66,7 @@ def test_forward_hard_matches_hardened_circuit():
     for got, words in zip(cache.x_layers[1:], ref):
         packed = BitMatrix(words, len(x)).to_array()
         assert np.array_equal(got, packed)
-    assert np.array_equal(circuit_logits(circuit, bits), cache.logits)
+    assert np.array_equal(score(circuit, ref[-1], len(x))[0], cache.logits)
 
 
 def test_trained_netlist_accuracy_equals_training_forward():
