@@ -17,44 +17,67 @@ import numpy as np
 from .errors import StructuralError
 
 WORD_BITS = 64
+# Bytes of 64 x 64 bit blocks _transpose_bits swaps at a time.
+TRANSPOSE_BYTES = 1 << 19
 
 
 def _words_needed(n_bits: int) -> int:
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-def _transpose_bits(words: np.ndarray, n_cols: int) -> np.ndarray:
-    """Bit-transpose an (r x w) uint64 word array whose rows hold `64 * w`
-    bit columns: returns (n_cols x ceil(r / 64)) words in which bit k of
-    row c is bit c of input row k.
+def _transpose_bits(read, r: int, n_cols: int) -> np.ndarray:
+    """Bit-transpose r rows of ceil(n_cols / 64) uint64 words, which
+    `read(rows)` returns for a slice of rows (an array's `__getitem__`
+    will do): returns (n_cols x ceil(r / 64)) words in which bit k of row
+    c is bit c of input row k.
 
     Input rows are zero-padded to a multiple of 64, so the result's bits
     past r are zero; bit columns past `n_cols` are dropped.
+
+    Rows go in slabs of 64-row blocks, at most TRANSPOSE_BYTES of them
+    (or one block), through one block buffer and one swap buffer straight
+    into the result, so other memory stays slab-sized.
     """
-    r, w = words.shape
     n_blocks = _words_needed(r)
-    # blocks[i, k, j] is word j of row 64k + i (zero past r): one 64 x 64
-    # bit block per (k, j), its row index outermost so that the swaps
-    # below work on long contiguous runs.
-    blocks = np.zeros((WORD_BITS, n_blocks, w), dtype=np.uint64)
-    full, rem = divmod(r, WORD_BITS)
-    rows = blocks.transpose(1, 0, 2)
-    rows[:full] = words[: full * WORD_BITS].reshape(full, WORD_BITS, w)
-    if rem:
-        rows[full, :rem] = words[full * WORD_BITS :]
-    for j in (32, 16, 8, 4, 2, 1):
-        # Swap the j x j sub-blocks off the diagonal of each 2j x 2j block;
-        # the mask keeps the low j bits of every 2j-bit group of a word.
-        low = (1 << j) - 1
-        mask = np.uint64(sum(low << i for i in range(0, WORD_BITS, 2 * j)))
-        pairs = blocks.reshape(WORD_BITS // (2 * j), 2, j, n_blocks * w)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        t = ((lo >> np.uint64(j)) ^ hi) & mask
-        hi ^= t
-        lo ^= t << np.uint64(j)
-    # Now blocks[c, k, j] is word k of bit column 64j + c.
-    out = blocks.transpose(2, 0, 1).reshape(w * WORD_BITS, n_blocks)
-    return np.ascontiguousarray(out[:n_cols])
+    w = _words_needed(n_cols)
+    out = np.empty((w * WORD_BITS, n_blocks), dtype=np.uint64)
+    step = max(1, TRANSPOSE_BYTES // (8 * WORD_BITS * max(1, w)))
+    buf = np.empty(WORD_BITS * min(step, n_blocks) * w, dtype=np.uint64)
+    swap = np.empty(buf.size // 2, dtype=np.uint64)
+    cols = out.reshape(w, WORD_BITS, n_blocks)  # [j, c]: bit column 64j + c
+    for k0 in range(0, n_blocks, step):
+        k1 = min(k0 + step, n_blocks)
+        slab = read(slice(WORD_BITS * k0, WORD_BITS * k1))
+        # blocks[i, k, j] is word j of row 64 (k0 + k) + i (zero past r):
+        # one 64 x 64 bit block per (k, j), its row index outermost so that
+        # the swaps below work on long contiguous runs.
+        blocks = buf[: WORD_BITS * (k1 - k0) * w]
+        blocks = blocks.reshape(WORD_BITS, k1 - k0, w)
+        rows = blocks.transpose(1, 0, 2)
+        full, rem = divmod(len(slab), WORD_BITS)
+        rows[:full] = slab[: full * WORD_BITS].reshape(full, WORD_BITS, w)
+        if rem:
+            rows[full, :rem] = slab[full * WORD_BITS :]
+            rows[full, rem:] = 0
+        del slab
+        for j in (32, 16, 8, 4, 2, 1):
+            # Swap the j x j sub-blocks off the diagonal of each 2j x 2j
+            # block; the mask keeps the low j bits of every 2j-bit group.
+            low = (1 << j) - 1
+            mask = np.uint64(sum(low << i for i in range(0, WORD_BITS, 2 * j)))
+            shift = np.uint64(j)
+            pairs = blocks.reshape(WORD_BITS // (2 * j), 2, j, -1)
+            lo, hi = pairs[:, 0], pairs[:, 1]
+            t = swap[: lo.size].reshape(lo.shape)
+            np.right_shift(lo, shift, out=t)
+            t ^= hi
+            t &= mask
+            hi ^= t
+            t <<= shift
+            lo ^= t
+        # Now blocks[c, k, j] is word k0 + k of bit column 64j + c.
+        cols[:, :, k0:k1] = blocks.transpose(2, 0, 1)
+    return out[:n_cols]
 
 
 class BitMatrix:
@@ -85,28 +108,42 @@ class BitMatrix:
     @classmethod
     def from_array(cls, arr) -> "BitMatrix":
         """Build from any 2-D (samples x signals) array of 0/1 (or boolean)
-        values; any nonzero value counts as 1."""
+        values; any nonzero value counts as 1.
+
+        Samples are packed into zero-padded words one `_transpose_bits`
+        slab at a time, never as one packed copy of the whole array."""
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise StructuralError("expected a 2-D array of bits")
-        if arr.dtype.kind not in "biu":
-            arr = arr != 0  # packbits takes only integers and booleans
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        pad = _words_needed(arr.shape[1]) * 8 - packed.shape[1]
-        # Zero bytes up to a whole word. packbits and pad keep the input's
-        # memory order; the uint64 view needs a contiguous last axis.
-        packed = np.ascontiguousarray(np.pad(packed, ((0, 0), (0, pad))))
         n, m = arr.shape
-        return cls(_transpose_bits(packed.view(np.uint64), m), n)
+
+        def read(rows: slice) -> np.ndarray:
+            # The samples packed into whole zero-padded words; packbits
+            # takes only integers and booleans.
+            bits = arr[rows]
+            if bits.dtype.kind not in "biu":
+                bits = bits != 0
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            words = np.zeros((len(packed), _words_needed(m)), dtype=np.uint64)
+            words.view(np.uint8)[:, : packed.shape[1]] = packed
+            return words
+
+        return cls(_transpose_bits(read, n, m), n)
 
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
-        rows = _transpose_bits(self.words, self.n_samples).view(np.uint8)
+        rows = self._sample_words().view(np.uint8)
         return np.unpackbits(rows, 1, self.n_signals, bitorder="little")
 
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
-        rows = _transpose_bits(self.words, self.n_samples)[lo:hi]
-        return BitMatrix(_transpose_bits(rows, self.n_signals), rows.shape[0])
+        rows = self._sample_words()[lo:hi]
+        words = _transpose_bits(rows.__getitem__, len(rows), self.n_signals)
+        return BitMatrix(words, len(rows))
+
+    def _sample_words(self) -> np.ndarray:
+        """Sample-major words: row s holds sample s of every signal."""
+        read = self.words.__getitem__
+        return _transpose_bits(read, self.n_signals, self.n_samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):

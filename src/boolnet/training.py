@@ -14,6 +14,7 @@ straight-through rule when the cached activations are binary.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -32,6 +33,9 @@ SAMPLING_MODES = ("random", "gradient_guided", "none")
 # Bytes of candidate bits connection_gradient gathers per block. Smaller
 # blocks ran slower at the desk shape; larger ones were no faster.
 GATHER_BYTES = 1 << 18
+# Elements per block of Adam's update (64 KB of float32). Smaller blocks
+# ran slower at the wide shape (G = 12000); larger ones were no faster.
+ADAM_BLOCK = 1 << 14
 INTERCONNECT_MODES = ("fixed", "learnable")
 
 
@@ -83,13 +87,17 @@ class TrainConfig:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    # The max runs over a contiguous copy with `axis` first, where it is an
-    # elementwise max of whole rows instead of many short reductions. Max
-    # does not depend on order, so the result is the same bit for bit.
-    zmax = np.ascontiguousarray(np.moveaxis(z, axis, 0)).max(axis=0)
-    z = z - np.expand_dims(zmax, axis)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    # The max runs slice by slice along `axis` into one output: whole-slice
+    # maxima instead of many short reductions, and no transposed copy of z.
+    # Max does not depend on order, so the bits are those of z.max(axis).
+    slices = np.moveaxis(z, axis, 0)
+    zmax = slices[0].copy()
+    for row in slices[1:]:
+        np.maximum(zmax, row, out=zmax)
+    e = z - np.expand_dims(zmax, axis)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -132,8 +140,8 @@ def _forward_arrays(
     slot_in = []
     for layer in model.layers:
         sel = layer.selected_slots()
-        a = x[:, sel[:, 0]]
-        b = x[:, sel[:, 1]]
+        # C-ordered, so the backward reads the slot inputs contiguously.
+        a, b = (x.take(sel[:, j], axis=1) for j in (0, 1))
         if soft:
             p = softmax(layer.gate_logits.astype(np.float64), axis=1)
             c = p @ TABLE_BITS  # (G, 4) expected table values
@@ -152,7 +160,9 @@ def _forward_arrays(
         slot_in.append((a, b))
     gs = model.group_size
     sums = x.reshape(x.shape[0], model.num_classes, gs).sum(axis=2)
-    logits = sums / float(model.tau)
+    # softmax and cross_entropy sum an F-ordered array over the classes in
+    # another order than a C-ordered one: trained bits need the F order.
+    logits = np.asfortranarray(sums / float(model.tau))
     return ForwardCache(xs, sels, slot_in, logits, soft)
 
 
@@ -248,13 +258,57 @@ def _scatter_slots(
     return out
 
 
+def _gate_gradient(p, c, dy, a, b, t) -> np.ndarray:
+    """(G, 16) gate-logit gradient from the table softmax p, c = p @
+    TABLE_BITS, and (B, G) dy, a and b, through the (B, G) buffer t."""
+    # Shared single-pass reductions. With binary a, b the per-entry
+    # weights w_{AB} are one-hot, and in general (multilinear case)
+    # s[:, 2A+B] = sum_b dy * w_{AB} decomposes into these four sums:
+    t_a = np.multiply(dy, a, out=t).sum(axis=0)
+    t *= b
+    t_ab = t.sum(axis=0)
+    t_b = np.multiply(dy, b, out=t).sum(axis=0)
+    t_all = dy.sum(axis=0)
+    s = np.stack(
+        [t_all - t_a - t_b + t_ab, t_b - t_ab, t_a - t_ab, t_ab], axis=1
+    )
+    dl = s @ TABLE_BITS.T.astype(p.dtype)
+    dl -= (s * c).sum(axis=1)[:, None]
+    dl *= p
+    return dl
+
+
+def _slot_gradients(c, dy, a, b, t) -> np.ndarray:
+    """(B, G, 2) gradients of the slot inputs a and b. Each goes through
+    the (B, G) buffer t: strided passes over the result ran slower."""
+    # d/da = (c10-c00) + b*((c11-c01)-(c10-c00)), then * dy; same for b.
+    d20 = c[:, 2] - c[:, 0]
+    d31_20 = (c[:, 3] - c[:, 1]) - d20
+    d10 = c[:, 1] - c[:, 0]
+    d32_10 = (c[:, 3] - c[:, 2]) - d10
+    dslot = np.empty(dy.shape + (2,), dtype=dy.dtype)
+    for j, (u, slope, base) in enumerate(
+        ((b, d31_20, d20), (a, d32_10, d10))
+    ):
+        np.multiply(u, slope, out=t)
+        t += base
+        t *= dy
+        dslot[:, :, j] = t
+    return dslot
+
+
 def backward(
     model: NetworkModel, cache: ForwardCache, labels: np.ndarray,
     phase: Phase | None = None, plans: dict | None = None,
 ) -> BatchGradients:
     """Gradients of mean softmax cross-entropy on the group logits. Given
     a training `phase`, the tensors it keeps fixed get zero gradients.
-    `plans` holds each layer's (selection, scatter plan) across calls."""
+    `plans` holds each layer's (selection, scatter plan) across calls.
+
+    A layer reads the uint8 slot inputs as they are and computes through
+    one (B, G) buffer, with the softmax and dl in place; p, c, dy and the
+    buffer are freed before connection_gradient.
+    """
     labels = np.asarray(labels)
     batch = cache.logits.shape[0]
     if labels.shape != (batch,):
@@ -262,64 +316,33 @@ def backward(
     dtype = np.float64 if cache.soft else np.float32
     plans = {} if plans is None else plans
 
-    probs = softmax(cache.logits.astype(dtype), axis=1)
-    loss = cross_entropy(cache.logits.astype(dtype), labels)
-    dlogit = probs
+    logits = cache.logits.astype(dtype)
+    loss = cross_entropy(logits, labels)
+    dlogit = softmax(logits, axis=1)
     dlogit[np.arange(batch), labels] -= 1.0
     dlogit /= batch
     gs = model.group_size
     # Every gate in a class group contributes 1/tau to that class logit.
-    dy = np.repeat(dlogit, gs, axis=1) / dtype(model.tau)
+    dy = np.repeat(dlogit, gs, axis=1)
+    dy /= dtype(model.tau)
 
     d_logits: list[np.ndarray] = []
     d_conn: list[np.ndarray] = []
     d_slots: list[np.ndarray] = []
     for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
-        # The gathers x[:, sel] are F-ordered. Every pass below runs on
-        # C-ordered arrays, and so do the sums over the batch axis.
-        a, b = (
-            np.ascontiguousarray(v, dtype=dtype) for v in cache.slot_in[li]
-        )
-        p = softmax(layer.gate_logits.astype(dtype), axis=1)
+        a, b = cache.slot_in[li]
+        p = softmax(layer.gate_logits.astype(dtype, copy=False), axis=1)
         c = p @ TABLE_BITS.astype(dtype)  # (G, 4)
 
-        # Shared single-pass reductions. With binary a, b the per-entry
-        # weights w_{AB} are one-hot, and in general (multilinear case)
-        # s[:, 2A+B] = sum_b dy * w_{AB} decomposes into these four sums:
-        dya = dy * a
-        t_all = dy.sum(axis=0)
-        t_a = dya.sum(axis=0)
-        t_b = (dy * b).sum(axis=0)
-        t_ab = (dya * b).sum(axis=0)
-
+        t = np.empty_like(dy)  # the layer's one (B, G) buffer
         if phase is not None and not phase.trainable_gates[li]:
             dl = np.zeros_like(layer.gate_logits)
         else:
-            s = np.stack(
-                [t_all - t_a - t_b + t_ab, t_b - t_ab, t_a - t_ab, t_ab],
-                axis=1,
-            )
-            dl = p * (
-                s @ TABLE_BITS.T.astype(dtype) - (s * c).sum(axis=1)[:, None]
-            )
-
-        # d/da = (c10-c00) + b*((c11-c01)-(c10-c00)), then * dy; same for b.
-        d20 = c[:, 2] - c[:, 0]
-        d31_20 = (c[:, 3] - c[:, 1]) - d20
-        d10 = c[:, 1] - c[:, 0]
-        d32_10 = (c[:, 3] - c[:, 2]) - d10
-        # Both slot gradients pass through one C-ordered (B, G) buffer.
-        dslot = np.empty(dy.shape + (2,), dtype=dtype)
-        t = np.empty_like(dy)
-        for j, (u, slope, base) in enumerate(
-            ((b, d31_20, d20), (a, d32_10, d10))
-        ):
-            np.multiply(u, slope, out=t)
-            t += base
-            t *= dy
-            dslot[:, :, j] = t
-        del t, a, b, dya  # free before connection_gradient
+            dl = _gate_gradient(p, c, dy, a, b, t)
+        del p
+        dslot = _slot_gradients(c, dy, a, b, t)
+        del c, dy, t  # free before connection_gradient
 
         if phase is not None and phase.active_interconnect != li:
             dc = np.zeros_like(layer.conn_weights)
@@ -347,7 +370,13 @@ def backward(
 
 
 class Adam:
-    """Plain Adam with the canonical published defaults."""
+    """Plain Adam with the canonical published defaults.
+
+    A step updates each tensor in blocks of leading-axis rows, at most
+    ADAM_BLOCK elements (or one row), through two block buffers, so its
+    extra memory does not grow with the parameters. Each element gets the
+    operations of a whole-array pass, so the bits do not depend on blocks.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -357,12 +386,17 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
-        self._buf = np.empty(0, dtype=np.float32)
 
     def step(
         self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         lr: float,
     ) -> None:
+        # The step takes lr's precision: cosine_lr returns a numpy float64,
+        # so lr * mhat and the division are float64 and only the update of
+        # p rounds to float32. Computing it in float32 would change trained
+        # parameters in the last bit.
+        step_dtype = np.result_type(np.float32, lr)
+        buf = step = np.empty(0)
         for key, p in params.items():
             g = grads[key]
             if key not in self.m:
@@ -373,25 +407,30 @@ class Adam:
             t = self.t[key]
             m = self.m[key]
             v = self.v[key]
-            g = g.astype(np.float32, copy=False)
-            if self._buf.size < p.size:
-                self._buf = np.empty(p.size, dtype=np.float32)
-            buf = self._buf[: p.size].reshape(p.shape)
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=buf)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=buf)
-            v += np.multiply(buf, g, out=buf)
-            # The step takes lr's precision: cosine_lr returns a numpy
-            # float64, so lr * mhat and the division are float64 and only
-            # the update of p rounds to float32. Computing it in float32
-            # would change trained parameters in the last bit.
-            step = np.multiply(np.divide(m, 1 - self.beta1**t, out=buf), lr)
-            np.divide(v, 1 - self.beta2**t, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += self.eps
-            step /= buf
-            p -= step
+            row = math.prod(p.shape[1:])
+            rows = max(1, ADAM_BLOCK // max(1, row))
+            size = min(len(p), rows) * row
+            if buf.size < size:
+                buf = np.empty(size, dtype=np.float32)
+                step = np.empty(size, dtype=step_dtype)
+            for lo in range(0, len(p), rows):
+                block = slice(lo, lo + rows)
+                pb, mb, vb = p[block], m[block], v[block]
+                gb = g[block].astype(np.float32, copy=False)
+                bb = buf[: pb.size].reshape(pb.shape)
+                sb = step[: pb.size].reshape(pb.shape)
+                mb *= self.beta1
+                mb += np.multiply(gb, 1 - self.beta1, out=bb)
+                vb *= self.beta2
+                np.multiply(gb, 1 - self.beta2, out=bb)
+                vb += np.multiply(bb, gb, out=bb)
+                np.divide(mb, 1 - self.beta1**t, out=bb)
+                np.multiply(bb, lr, out=sb)
+                np.divide(vb, 1 - self.beta2**t, out=bb)
+                np.sqrt(bb, out=bb)
+                bb += self.eps
+                sb /= bb
+                pb -= sb
 
 
 def cosine_lr(
@@ -441,7 +480,8 @@ def build_phases(config: TrainConfig, n_layers: int) -> list[Phase]:
 
 @dataclass
 class EncodedSplits:
-    """Binarized training inputs: 0/1 feature matrices plus labels."""
+    """Binarized training inputs: 0/1 feature matrices plus labels, one
+    label per row. The val split is given whole or not at all."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -449,11 +489,22 @@ class EncodedSplits:
     val_y: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.val_x is None) != (self.val_y is None):
+            raise StructuralError("the val split needs both inputs and labels")
         self.train_x = np.ascontiguousarray(self.train_x, dtype=np.uint8)
         self.train_y = np.asarray(self.train_y, dtype=np.int64)
         if self.val_x is not None:
             self.val_x = np.ascontiguousarray(self.val_x, dtype=np.uint8)
             self.val_y = np.asarray(self.val_y, dtype=np.int64)
+        for name, x, y in (
+            ("train", self.train_x, self.train_y),
+            ("val", self.val_x, self.val_y),
+        ):
+            if x is not None and len(x) != len(y):
+                raise StructuralError(
+                    f"the {name} split has {len(x)} input rows "
+                    f"but {len(y)} labels"
+                )
 
 
 @dataclass
@@ -548,31 +599,36 @@ def train(
                 lr = cosine_lr(
                     phase_step, phase_steps, config.lr_init, config.lr_final
                 )
+                phase_step += 1
+                global_step += 1
+                li = phase.active_interconnect
+                refresh = (
+                    li is not None
+                    and config.sampling_mode != "none"
+                    and global_step % config.beta == 0
+                )
+                # Only a guided refresh reads the layer's inputs and slot
+                # gradients; the rest go before or right after the step.
+                guided = refresh and config.sampling_mode == "gradient_guided"
+                x_dy = (cache.x_layers[li], grads.dy[li]) if guided else None
                 gdict = {}
                 for i in range(len(model.layers)):
                     gdict[f"L{i}.gate_logits"] = grads.d_logits[i]
                     gdict[f"L{i}.conn_weights"] = grads.d_conn[i]
+                del xb, cache, grads
                 optimizer.step(params, gdict, lr)
-                phase_step += 1
-                global_step += 1
+                del gdict
 
-                li = phase.active_interconnect
-                if (
-                    li is not None
-                    and config.sampling_mode != "none"
-                    and global_step % config.beta == 0
-                ):
+                if refresh:
                     refresh_candidates(
                         model.layers[li],
-                        RandomSampler(rng)
-                        if config.sampling_mode == "random"
-                        else GradientGuidedSampler(
-                            cache.x_layers[li], grads.dy[li]
-                        ),
+                        GradientGuidedSampler(*x_dy)
+                        if guided
+                        else RandomSampler(rng),
                         config.R,
                         model.fan_in_width(li),
                     )
-                del xb, cache, grads, gdict  # free before the next forward
+                del x_dy  # free before the next forward
 
             now = time.monotonic() - t0
             metrics.append(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolnet import bitmatrix
 from boolnet.bitmatrix import WORD_BITS, BitMatrix
 from boolnet.errors import StructuralError
 
@@ -126,3 +127,20 @@ def test_round_trip_property(n, m, seed):
     if n % WORD_BITS:
         assert not (sig[:, -1] >> np.uint64(n % WORD_BITS)).any()
     assert BitMatrix(sig, n) == bm
+
+
+@pytest.mark.parametrize("n, m", [(200, 130), (64, 257), (129, 64)])
+def test_one_block_slabs_equal_one_slab(monkeypatch, n, m):
+    """With one 64-row block per transpose slab, every conversion equals
+    the one-slab result: bits left in the reused buffers by an earlier
+    slab never reach the padding of a ragged last one."""
+    arr = np.random.default_rng(n + m).integers(0, 2, size=(n, m))
+    arr = arr.astype(np.uint8)
+    whole = BitMatrix.from_array(arr)
+    oracle = _signal_words_oracle(whole)
+    monkeypatch.setattr(bitmatrix, "TRANSPOSE_BYTES", 1)
+    slabs = BitMatrix.from_array(arr)
+    assert np.array_equal(slabs.words, oracle)
+    assert np.array_equal(slabs.to_array(), arr)
+    assert np.array_equal(slabs.row_range(3, n - 1).to_array(), arr[3 : n - 1])
+    assert np.array_equal(BitMatrix.from_array(arr.T).to_array(), arr.T)

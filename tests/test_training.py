@@ -15,6 +15,7 @@ from boolnet.model import (
 )
 from boolnet.serialize import dump_netlist, parse_netlist
 from boolnet.training import (
+    ADAM_BLOCK,
     GATHER_BYTES,
     Adam,
     EncodedSplits,
@@ -441,6 +442,37 @@ def test_desk_epoch_guided_refresh_peak_memory():
     assert peak <= 10.5 * 2**20
 
 
+def test_wide_epoch_random_refresh_peak_memory():
+    """One epoch at the paper's width (30720 -> 12000, C = 8, R = 4,
+    B = 20, 400 random samples, a random refresh every 20 steps, a
+    200-sample validation) allocates at most 9.4 MiB at its peak under
+    tracemalloc, the model itself not counted; the backward's slot
+    gradients set it, at 9,554,538 bytes when measured. Adam with a
+    full-size float64 step and a kept full-size float32 buffer
+    (9.84 MiB), or a backward that makes float32 copies of the uint8
+    slot inputs (10.91 MiB), exceeds it."""
+    rng = np.random.default_rng(31)
+    I, G = 30720, 12000
+    splits = EncodedSplits(
+        rng.integers(0, 2, size=(400, I), dtype=np.uint8),
+        rng.integers(0, 10, size=400),
+        rng.integers(0, 2, size=(200, I), dtype=np.uint8),
+        rng.integers(0, 10, size=200),
+    )
+    model = random_network(I, [G], 10, 8, tau=30.0, seed=0)
+    cfg = TrainConfig(
+        total_epochs=1, C=8, R=4, beta=20, tau=30.0, batch_size=20,
+        sampling_mode="random",
+    )
+    tracemalloc.start()
+    try:
+        train(model, splits, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.4 * 2**20
+
+
 def test_backward_loss_matches_cross_entropy():
     rng = np.random.default_rng(7)
     model = _rand_model(rng)
@@ -543,6 +575,28 @@ def test_train_rejects_empty_training_split():
     empty = EncodedSplits(np.zeros((0, 6), np.uint8), np.zeros(0, np.int64))
     with pytest.raises(ConfigError, match="empty"):
         train(model, empty, TrainConfig(total_epochs=1, C=3))
+
+
+@pytest.mark.parametrize(
+    "split, rows, labels, match",
+    [
+        ("train", 100, 90, "train split has 100 input rows but 90 labels"),
+        ("train", 90, 100, "train split has 90 input rows but 100 labels"),
+        ("val", 20, None, "val split needs both inputs and labels"),
+    ],
+)
+def test_encoded_splits_reject_rows_without_one_label_each(
+    split, rows, labels, match
+):
+    """More rows than labels would train on a prefix of the rows, fewer
+    would fail mid-epoch, and val inputs without labels would fail in
+    numpy; each is a StructuralError naming the split at construction."""
+    x = np.zeros((rows, 6), np.uint8)
+    y = None if labels is None else np.zeros(labels, np.int64)
+    full_x, full_y = np.zeros((10, 6), np.uint8), np.zeros(10, np.int64)
+    args = (x, y) if split == "train" else (full_x, full_y, x, y)
+    with pytest.raises(StructuralError, match=match):
+        EncodedSplits(*args)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -np.inf])
@@ -728,6 +782,65 @@ def test_adam_bit_equals_reference_expression(lr_kind):
         assert np.array_equal(got[k], want[k])
         assert np.array_equal(opt.m[k], ref.m[k])
         assert np.array_equal(opt.v[k], ref.v[k])
+
+
+@pytest.mark.parametrize("lr_kind", ["numpy", "python"])
+def test_adam_blocks_bit_equal_reference_expression(lr_kind):
+    """Tensors of several ADAM_BLOCK-element blocks and a ragged last
+    block, a flat one, and one whose rows each exceed a block: params, m
+    and v equal the whole-array reference bit for bit, for either lr."""
+    rng = np.random.default_rng(29)
+    G = 3 * (ADAM_BLOCK // 16) + 300
+    init = {
+        "gates": rng.normal(size=(G, 16)).astype(np.float32),
+        "conn": rng.normal(size=(G, 2, 8)).astype(np.float32),
+        "flat": rng.normal(size=2 * ADAM_BLOCK + 77).astype(np.float32),
+        "wide_rows": rng.normal(size=(3, ADAM_BLOCK + 5)).astype(np.float32),
+    }
+    got = {k: v.copy() for k, v in init.items()}
+    want = {k: v.copy() for k, v in init.items()}
+    opt, ref = Adam(), _ReferenceAdam()
+    steps = 8
+    for step in range(steps):
+        scale = np.exp2(rng.integers(-20, 4))
+        grads = {
+            k: (rng.normal(size=v.shape) * scale).astype(np.float32)
+            for k, v in init.items()
+        }
+        lr = cosine_lr(step, steps, 1e-2, 1e-5)
+        if lr_kind == "python":
+            lr = float(lr)
+        opt.step(got, grads, lr)
+        ref.step(want, grads, lr)
+    for k in init:
+        assert np.array_equal(got[k], want[k])
+        assert np.array_equal(opt.m[k], ref.m[k])
+        assert np.array_equal(opt.v[k], ref.v[k])
+
+
+def test_adam_step_extra_memory_does_not_grow_with_parameters():
+    """After the first step has made the moments, a step allocates only
+    its block buffers: under 0.5 MiB at the wide shape (G = 12000), where
+    a full-size float64 step alone is 1.5 MB, and no more at 4 x G."""
+    rng = np.random.default_rng(30)
+    lr = cosine_lr(1, 10, 1e-2, 1e-5)  # a numpy float64: a float64 step
+    extra = []
+    for G in (12000, 48000):
+        params = {
+            "gates": rng.normal(size=(G, 16)).astype(np.float32),
+            "conn": rng.normal(size=(G, 2, 8)).astype(np.float32),
+        }
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        opt = Adam()
+        opt.step(params, grads, lr)
+        tracemalloc.start()
+        try:
+            opt.step(params, grads, lr)
+            extra.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert extra[0] < 2**19
+    assert extra[1] <= extra[0] + (16 << 10)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
