@@ -8,19 +8,23 @@ the hardened argmax choice of a slot with non-degenerate weights is never
 disturbed. New indices are sampled outside the kept set: a collision
 would just duplicate a parameter.
 
-Gradient-guided sampling keys a whole layer per slice of input columns
-with one matrix product, p = x_slice.T @ dy, written into one reused
-buffer. Where no summation order can round (_exact_slots) the score
+Gradient-guided sampling scans a layer's slots in blocks of SLOT_BLOCK.
+A slot's top R depends only on its own gradients and exclusions, so each
+block is scanned whole on a float64 copy of its own dy columns. Each
+slice of input columns is keyed for the block with one matrix product,
+p = x_slice.T @ dy, written into one buffer that every block reuses.
+Where no summation order can round (_exact_slots) the score
 2p - sum_b dy is exact and increasing in p, so p ranks and ties as the
 score does; other slots are keyed by the sequential oracle score. The
 first slice's R-th key sets each slot's threshold, and later slices only
 collect the (slot, index, key) entries strictly below it: a tie has a
 higher index than R entries already held, and loses. One stable sort by
 (slot, key, index) keeps each slot's best R, and lowers the thresholds,
-whenever the collected entries pass COLLECT_BYTES and once at the end.
-Extra memory is O(batch * S) for a float64 copy of dy, the slice buffer
-and a few slice-sized masks (O(S * chunk)), and O(S * R) for the kept
-entries plus the COLLECT_BYTES bound, whatever the fan-in width I.
+whenever the block's collected entries pass COLLECT_BYTES and once at
+the end of the block. Extra memory is O(batch * SLOT_BLOCK) for the
+block's dy, BLOCK_BYTES for the slice and its product, a few slice-sized
+masks, the COLLECT_BYTES bound, and O(S * R) for the result, whatever
+the slot count S or the fan-in width I.
 """
 
 from __future__ import annotations
@@ -32,16 +36,19 @@ import numpy as np
 from .errors import StructuralError
 from .model import LayerParams, sample_distinct
 
-# Columns per slice when scoring one slot. A whole layer sizes its slices so
-# a (batch + S) x chunk float64 array is BLOCK_BYTES. Smaller slices ran
-# slower at the desk shape (S = 2000, B = 100); larger ones were no faster.
+# Columns per slice when scoring one slot. A layer goes in blocks of
+# SLOT_BLOCK slots, in slices whose (batch + block) x chunk float64 array
+# is BLOCK_BYTES. Timed on one guided refresh (one BLAS thread) at the desk
+# shape (S = 2000, B = 100, I = 2352) and at S = 24000, B = 20, I = 3072,
+# these ran as fast as 512 to 2048 slots or faster, with a 2.3 MB desk peak.
 CHUNK = 1024
-BLOCK_BYTES = 2 << 20
-# A guided refresh reselects each slot's best R once the entries collected
-# since the last selection, 16 bytes each, pass this many bytes. A smaller
-# bound ran slower at the paper's width (S = 24000), where every selection
-# sorts S * R kept entries.
-COLLECT_BYTES = 1 << 18
+BLOCK_BYTES = 1 << 20
+SLOT_BLOCK = 1024
+# A guided refresh reselects a block's best R once the entries collected
+# since its last selection, 16 bytes each, pass this many bytes (as many
+# as 1024 slots hold at R = 4). Half this ran slower at both shapes above;
+# twice this was no faster and raised the desk peak by about 0.1 MB.
+COLLECT_BYTES = 1 << 16
 
 
 def connection_scores_chunk(x_cols: np.ndarray, dy_slot: np.ndarray) -> np.ndarray:
@@ -74,7 +81,7 @@ def _exact_slots(dy: np.ndarray) -> np.ndarray:
     step = max(1, BLOCK_BYTES // (64 * max(1, B)))
     exact = np.empty(S, dtype=bool)
     for a in range(0, S, step):
-        d = dy[:, a : a + step]
+        d = dy[:, a : a + step].astype(np.float64)
         m, e = np.frexp(d)
         n = (m * 2.0**53).astype(np.int64)
         low = np.ldexp((n & -n).astype(np.float64), e - 53)
@@ -84,39 +91,35 @@ def _exact_slots(dy: np.ndarray) -> np.ndarray:
     return exact
 
 
-def _keep_best(R: int, S: int, parts: list, n_new: int) -> None:
+def _keep_best(R: int, S: int, parts: list) -> None:
     """Replace `parts` by one part: each slot's best R of its entries in
     them, in (key, index) order.
 
-    parts[0] is (indices, keys) of R held entries per slot in that order.
-    Each later part (lo, flat, keys) was collected from a (columns, S)
-    slice starting at column lo, at flat positions; n_new entries in all.
-    Complex numbers sort by (real, imag), here (slot, key). A slot's held
-    entries come first and have the lower indices (or are +inf
-    placeholders that no collected key ties), and its collected ones
-    follow in index order, so the stable sort breaks ties by index.
+    A part is (positions index * S + slot, keys); every slot has at least
+    R entries in all. The held part comes first, in (slot, key, index)
+    order, with a slot's lower indices, and later parts follow in index
+    order. A stable radix sort by slot keeps that order within a slot,
+    and a stable sort of complex (slot, key) then breaks ties by index;
+    it runs several times faster on keys already grouped by slot.
     """
-    z = np.empty(S * R + n_new, dtype=np.complex128)
-    idx = np.empty(z.size, dtype=np.int32)
-    z[: S * R].reshape(S, R).real[:] = np.arange(S)[:, None]
-    idx[: S * R], z.imag[: S * R] = parts[0]
-    at = S * R
-    for lo, flat, key in parts[1:]:
-        to = slice(at, at + flat.size)
-        np.remainder(flat, S, out=z.real[to])
-        z.imag[to] = key
-        np.floor_divide(flat, S, out=idx[to], casting="unsafe")
-        idx[to] += lo
-        at += flat.size
+    pos = np.concatenate([p for p, _ in parts])
+    key = np.concatenate([k for _, k in parts])
     del parts[:]
-    flat = key = None  # free the parts before the sort
+    slot = (pos % S).astype(np.uint16)  # S <= SLOT_BLOCK: radix-sorted
+    by_slot = np.argsort(slot, kind="stable")
+    n = np.bincount(slot, minlength=S)
+    del slot
+    key = key[by_slot]
+    pos = pos[by_slot]
+    del by_slot
+    z = np.empty(pos.size, dtype=np.complex128)
+    np.remainder(pos, S, out=z.real)
+    z.imag = key
+    del key
     order = np.argsort(z, kind="stable")
-    first = np.empty(S, dtype=np.complex128)
-    first.real, first.imag = np.arange(S), -np.inf
-    first = np.searchsorted(z, first, sorter=order)
-    pick = order[first[:, None] + np.arange(R)].reshape(-1)
+    pick = order[(np.cumsum(n) - n)[:, None] + np.arange(R)].reshape(-1)
     del order
-    parts.append((idx[pick], z.imag[pick]))
+    parts.append((pos[pick], z.imag[pick]))
 
 
 def _guided_top_r(
@@ -125,17 +128,37 @@ def _guided_top_r(
     """(S, R) indices: for each column s of dy (B, S), the R most negative
     connection gradients outside kept[s], ordered by (score, index).
 
-    A slice of columns is keyed for all slots at once by the product
-    p = x_slice.T @ dy, (columns, S), into one reused buffer. On
-    _exact_slots the score 2p - sum_b dy is exact and increasing in p, so
-    p ranks and ties as the score does. Other slots are keyed by
-    connection_scores_chunk, the oracle itself. Keys are only compared
-    within a slot.
+    A slot's top R depends only on its own column of dy and row of kept,
+    so slots go in blocks of SLOT_BLOCK, each scanned whole before the
+    next: its float64 dy columns and exclusions exist only while it runs.
+    A slice of columns is keyed for all of a block's slots at once by the
+    product p = x_slice.T @ dy, (columns, slots), into one buffer reused
+    by every block. On _exact_slots the score 2p - sum_b dy is exact and
+    increasing in p, so p ranks and ties as the score does. Other slots
+    are keyed by connection_scores_chunk, the oracle itself. Keys are
+    only compared within a slot.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != I:
         raise StructuralError(f"x must be (batch, {I})")
-    dy = np.asarray(dy, dtype=np.float64)
+    dy = np.asarray(dy)
+    S = dy.shape[1]
+    top = np.empty((S, R), dtype=np.int64)
+    exact = _exact_slots(dy)
+    chunk = max(chunk, R)
+    buf = np.empty(min(chunk, I) * min(S, SLOT_BLOCK))
+    for a in range(0, S, SLOT_BLOCK):
+        b = slice(a, a + SLOT_BLOCK)
+        _block_top_r(
+            R, I, x, dy[:, b].astype(np.float64), kept[b], exact[b], chunk,
+            buf, top[b],
+        )
+    return top
+
+
+def _block_top_r(R, I, x, dy, kept, exact, chunk, buf, top) -> None:
+    """One block of _guided_top_r: its float64 dy (B, S) and kept rows in,
+    its (S, R) indices written into top. buf holds a slice's keys."""
     k = np.sort(np.where((kept >= 0) & (kept < I), kept, -1), axis=1)
     k[:, 1:][k[:, 1:] == k[:, :-1]] = -1  # count each exclusion once
     n_excl = (k >= 0).sum(axis=1).max(initial=0)
@@ -145,20 +168,17 @@ def _guided_top_r(
         )
     S = dy.shape[1]
     if R == 0:
-        return np.empty((S, 0), dtype=np.int64)
+        return
 
     # Exclusions as flat positions index * S + slot, sorted, so a slice's
     # are a range and land in its (columns, S) block by one offset.
     ex = np.sort(k[k >= 0].astype(np.int64) * S + np.nonzero(k >= 0)[0])
     del k
-    loose = np.flatnonzero(~_exact_slots(dy))
+    loose = np.flatnonzero(~exact)
     # Each slot's best R so far in (key, index) order, then the entries
-    # collected since, with n_new keys in all. Placeholders (+inf at index
-    # I) fill the held ones at first; at least R columns per slot key
-    # below +inf, so real columns displace them all.
-    parts = [(np.full(S * R, I, dtype=np.int32), np.full(S * R, np.inf))]
-    thr, n_new = np.full(S, np.inf), 0
-    buf = np.empty(min(chunk, I) * S)
+    # collected since, n_new in all. The first slice, at least R wide,
+    # gives every slot its first R.
+    parts, n_new = [], 0
     for lo in range(0, I, chunk):
         hi = min(lo + chunk, I)
         block = buf[: (hi - lo) * S].reshape(hi - lo, S)
@@ -169,7 +189,7 @@ def _guided_top_r(
             ).T
         hit = slice(*np.searchsorted(ex, (lo * S, hi * S)))
         block.reshape(-1)[ex[hit] - lo * S] = np.inf
-        if lo == 0 and hi >= R:
+        if lo == 0:
             # The first slice's R-th key sets each slot's threshold, found
             # a few slots at a time so each partitioned copy stays under
             # COLLECT_BYTES.
@@ -192,14 +212,13 @@ def _guided_top_r(
             take = block < thr
         flat = np.flatnonzero(take)
         del take
-        parts.append((lo, flat, block.reshape(-1)[flat]))
+        parts.append((flat + lo * S, block.reshape(-1)[flat]))
         n_new += flat.size
         if 16 * n_new > COLLECT_BYTES and hi < I:
-            _keep_best(R, S, parts, n_new)
+            _keep_best(R, S, parts)
             thr, n_new = parts[0][1][R - 1 :: R].copy(), 0
-    del buf, block  # free the slice before the last selection
-    _keep_best(R, S, parts, n_new)
-    return parts[0][0].reshape(S, R).astype(np.int64)
+    _keep_best(R, S, parts)
+    top[:] = parts[0][0].reshape(S, R) // S
 
 
 def sample_gradient_guided(
@@ -234,7 +253,9 @@ class RandomSampler:
 
 class GradientGuidedSampler:
     """Replacement sampling from the most negative connection gradients
-    of the most recent training batch."""
+    of the most recent training batch. sample_many goes through the slots
+    in blocks of SLOT_BLOCK and the fan-in in slices of BLOCK_BYTES, so
+    apart from its (S, R) result it needs the same memory at any width."""
 
     def __init__(self, x: np.ndarray, dy: np.ndarray):
         # x: (batch, I) layer inputs; dy: (batch, G, 2) slot gradients.
@@ -243,7 +264,8 @@ class GradientGuidedSampler:
 
     def sample_many(self, R: int, I: int, kept: np.ndarray):
         dy = self.dy.reshape(self.dy.shape[0], -1)  # column 2g + j is (g, j)
-        chunk = max(1, BLOCK_BYTES // (8 * sum(dy.shape)))
+        B, S = dy.shape
+        chunk = max(1, BLOCK_BYTES // (8 * (B + min(S, SLOT_BLOCK))))
         return _guided_top_r(R, I, self.x, dy, kept, chunk)
 
 
@@ -293,14 +315,16 @@ def refresh_candidates(
         w_floor = np.zeros(G * 2, dtype=weights.dtype)
     kept_idx = cand[rows, kept_pos]
 
-    old_idx = cand[rows, repl_pos].copy()
+    # Fancy indexing already copies and assignment casts, so the only
+    # copies left are the int64 and float32 ones RefreshEvent documents.
+    old_idx = cand[rows, repl_pos].astype(np.int64)
     new_idx = sampler.sample_many(R, fan_in_width, kept_idx)
 
-    cand[rows, repl_pos] = new_idx.astype(cand.dtype)
+    cand[rows, repl_pos] = new_idx
     weights[rows, repl_pos] = w_floor[:, None]
 
     return RefreshEvent(
-        old_idx.reshape(G, 2, R).astype(np.int64),
-        new_idx.reshape(G, 2, R).astype(np.int64),
-        w_floor.reshape(G, 2).astype(np.float32),
+        old_idx.reshape(G, 2, R),
+        new_idx.reshape(G, 2, R).astype(np.int64, copy=False),
+        w_floor.reshape(G, 2).astype(np.float32, copy=False),
     )

@@ -418,6 +418,53 @@ def test_threshold_and_collect_matches_per_slot_oracle(
     assert paths == {True, False}
 
 
+@pytest.mark.parametrize("slot_block", [2, 3])
+def test_slot_blocks_match_per_slot_oracle(slot_block, monkeypatch):
+    """With blocks of 2 or 3 slots, every slot of a call that spans
+    several blocks equals its own full argsort: small integer gradients
+    over a few distinct columns (ties within and across slices), all-zero
+    slots, loose slots, and exclusions with duplicates and out-of-range
+    values. The first slot is repeated as the last, in another block, and
+    gets the same answer there. Each block runs its own selection."""
+    monkeypatch.setattr(interconnect, "SLOT_BLOCK", slot_block)
+    selections = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        selections.append(np.iscomplexobj(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    rng = np.random.default_rng(400 + slot_block)
+    paths = set()
+    for trial in range(30):
+        B = int(rng.integers(1, 25))
+        S = int(rng.integers(slot_block + 1, 12))
+        R = int(rng.integers(1, 7))
+        I = int(rng.integers(R + 6, 90))
+        chunk = int(rng.integers(1, 12))
+        base = rng.integers(0, 2, size=(B, 5)).astype(np.uint8)
+        x = base[:, rng.integers(0, 5, size=I)]  # 5 distinct columns
+        if trial % 3 == 2:
+            dy = rng.normal(size=(B, S)) * np.exp(4 * rng.normal(size=(B, S)))
+        else:
+            dy = rng.integers(-2, 3, size=(B, S)).astype(np.float32)
+        dy[:, rng.random(S) < 0.3] = 0.0
+        kept = rng.integers(-3, I + 3, size=(S, 6))
+        kept[:, 1] = kept[:, 0]
+        dy[:, -1], kept[-1] = dy[:, 0], kept[0]
+        paths.update(_exact_slots(dy.astype(np.float64)).tolist())
+        del selections[:]
+        got = _guided_top_r(R, I, x, dy, kept, chunk)
+        assert got.shape == (S, R)
+        for s in range(S):
+            want = _per_slot_oracle(R, x, dy[:, s], kept[s])
+            assert np.array_equal(got[s], want), (trial, s)
+        assert np.array_equal(got[-1], got[0])
+        assert sum(selections) >= -(-S // slot_block)
+    assert paths == {True, False}
+
+
 def test_whole_layer_memory_does_not_grow_with_width():
     """At a fixed slot count the streamed scan's peak allocation stays
     flat as the fan-in width grows 16x."""
@@ -459,20 +506,21 @@ def _guided_refresh_peak(B, G, I):
 
 def test_desk_shape_guided_refresh_peak_memory():
     """A guided refresh at the desk shape (S = 2000 slots, B = 100,
-    I = 2352) allocates at most 5.2 MB at its peak: the measured peak of
-    4,845,209 bytes plus room for small-object noise. One more live
-    slice-sized float64 block (about 2 MB) would exceed it, such as the
-    first slice partitioned whole to find the thresholds."""
-    assert _guided_refresh_peak(100, 1000, 2352) <= 5_200_000
+    I = 2352) allocates at most 2.45 MB at its peak: the measured peak of
+    2,339,867 bytes plus room for small-object noise. It holds one block
+    of 1024 slots' float64 dy, one 1 MiB slice and a selection. A float64
+    copy of all of dy (1.6 MB), or a second slice buffer, exceeds it."""
+    assert _guided_refresh_peak(100, 1000, 2352) <= 2_450_000
 
 
 def test_paper_width_guided_refresh_peak_memory():
     """At the paper's slot count (G = 12000, so S = 24000; B = 20) a
-    refresh over I = 3072 columns peaks at 14,594,333 bytes, set by the
-    selection that merges the first slice's S * R entries with the S * R
-    placeholders. Holding the merged parts through the sort, or a second
-    slice buffer, would exceed the 15 MB bound."""
-    assert _guided_refresh_peak(20, 12000, 3072) <= 15_000_000
+    refresh over I = 3072 columns peaks at 2,481,887 bytes, of which
+    768,000 are its (S, R) int64 result; the rest is the same per-block
+    working set as at the desk shape. A float64 copy of all of dy
+    (3.84 MB), or one selection over every slot, exceeds the 2.6 MB
+    bound."""
+    assert _guided_refresh_peak(20, 12000, 3072) <= 2_600_000
 
 
 def test_desk_guided_refresh_peak_does_not_grow_with_width():
@@ -481,3 +529,15 @@ def test_desk_guided_refresh_peak_does_not_grow_with_width():
     narrow = _guided_refresh_peak(100, 1000, 2352)
     wide = _guided_refresh_peak(100, 1000, 4 * 2352)
     assert wide <= narrow + 64 * 1024
+
+
+def test_guided_refresh_peak_does_not_grow_with_slots():
+    """At B = 100 and I = 2352 the peak net of the (S, R) int64 result
+    grows by at most 64 KB when G goes from 1000 to 4000 (S from 2000 to
+    8000): slots go in blocks, and only an S-byte mask grows with S. A
+    float64 copy of all of dy would add 4.8 MB."""
+
+    def net(G):
+        return _guided_refresh_peak(100, G, 2352) - 2 * G * 4 * 8
+
+    assert net(4000) <= net(1000) + 64 * 1024

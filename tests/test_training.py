@@ -420,9 +420,10 @@ def test_backward_keeps_slot_gradients_only_of_the_refreshed_layer():
 def test_desk_epoch_guided_refresh_peak_memory():
     """One desk-shape epoch (2352 -> 3 x 1000, C = 8, R = 4, B = 100, 3000
     random samples, a guided refresh every 20 steps) allocates at most
-    10.5 MiB at its peak under tracemalloc; the refresh sets it, at
-    7,986,973 bytes when measured. An unblocked _exact_slots, whose
-    full (B, S) temporaries take several MB at this shape, exceeds it."""
+    4.5 MiB at its peak under tracemalloc; the backward sets it, at
+    4,624,666 bytes when measured, and the refresh peaks near 4.1 MiB.
+    A refresh that holds a float64 copy of all of dy, or scans all 2000
+    slots at once (6.3 MiB), exceeds it."""
     rng = np.random.default_rng(17)
     splits = EncodedSplits(
         rng.integers(0, 2, size=(3000, 2352)).astype(np.uint8),
@@ -439,7 +440,7 @@ def test_desk_epoch_guided_refresh_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5 * 2**20
+    assert peak <= 4.5 * 2**20
 
 
 def test_wide_epoch_random_refresh_peak_memory():
