@@ -7,7 +7,8 @@ samples. Padding bits past the last sample are zero, so word popcounts
 are exact. Sample-major words (row s holds sample s) exist only inside
 `from_array`, `to_array` and `row_range`, at the boundary with training's
 uint8 arrays: the layouts convert by transposing 64 x 64 bit blocks, a
-transpose that is its own inverse (`_transpose_bits`).
+transpose that is its own inverse (`_transpose_bits`). The package's
+blocked loops take their slices from `blocks`, sized by one WORK_BYTES.
 """
 
 from __future__ import annotations
@@ -17,8 +18,17 @@ import numpy as np
 from .errors import StructuralError
 
 WORD_BITS = 64
-# Bytes of 64 x 64 bit blocks _transpose_bits swaps at a time.
-TRANSPOSE_BYTES = 1 << 19
+# The bytes one block of a blocked loop works on. Adam's, the connection
+# gradient's and the desk refresh's memory bounds cap it; 512 KiB ran slower.
+WORK_BYTES = 3 << 18
+
+
+def blocks(n: int, item_bytes: int, budget: int | None = None) -> list[slice]:
+    """Slices covering range(n) in order, the first the longest: as many
+    items of `item_bytes` as `budget` (by default WORK_BYTES, read at the
+    call) holds, or one."""
+    step = max(1, (budget or WORK_BYTES) // max(1, item_bytes))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _words_needed(n_bits: int) -> int:
@@ -34,26 +44,25 @@ def _transpose_bits(read, r: int, n_cols: int) -> np.ndarray:
     Input rows are zero-padded to a multiple of 64, so the result's bits
     past r are zero; bit columns past `n_cols` are dropped.
 
-    Rows go in slabs of 64-row blocks, at most TRANSPOSE_BYTES of them
-    (or one block), through one block buffer and one swap buffer straight
-    into the result, so other memory stays slab-sized.
+    Rows go in slabs of 64-row blocks (`blocks`), through one block
+    buffer and one swap buffer half its size straight into the result,
+    so other memory stays slab-sized.
     """
     n_blocks = _words_needed(r)
     w = _words_needed(n_cols)
     out = np.empty((w * WORD_BITS, n_blocks), dtype=np.uint64)
-    step = max(1, TRANSPOSE_BYTES // (8 * WORD_BITS * max(1, w)))
-    buf = np.empty(WORD_BITS * min(step, n_blocks) * w, dtype=np.uint64)
+    slabs = blocks(n_blocks, 12 * WORD_BITS * w)  # buf and swap
+    buf = np.empty(WORD_BITS * w * (slabs[0].stop if slabs else 0), np.uint64)
     swap = np.empty(buf.size // 2, dtype=np.uint64)
     cols = out.reshape(w, WORD_BITS, n_blocks)  # [j, c]: bit column 64j + c
-    for k0 in range(0, n_blocks, step):
-        k1 = min(k0 + step, n_blocks)
-        slab = read(slice(WORD_BITS * k0, WORD_BITS * k1))
-        # blocks[i, k, j] is word j of row 64 (k0 + k) + i (zero past r):
-        # one 64 x 64 bit block per (k, j), its row index outermost so that
+    for k in slabs:
+        slab = read(slice(WORD_BITS * k.start, WORD_BITS * k.stop))
+        # sq[i, b, j] is word j of row 64 (k.start + b) + i (zero past r):
+        # one 64 x 64 bit block per (b, j), its row index outermost so that
         # the swaps below work on long contiguous runs.
-        blocks = buf[: WORD_BITS * (k1 - k0) * w]
-        blocks = blocks.reshape(WORD_BITS, k1 - k0, w)
-        rows = blocks.transpose(1, 0, 2)
+        nk = k.stop - k.start
+        sq = buf[: WORD_BITS * nk * w].reshape(WORD_BITS, nk, w)
+        rows = sq.transpose(1, 0, 2)
         full, rem = divmod(len(slab), WORD_BITS)
         rows[:full] = slab[: full * WORD_BITS].reshape(full, WORD_BITS, w)
         if rem:
@@ -66,7 +75,7 @@ def _transpose_bits(read, r: int, n_cols: int) -> np.ndarray:
             low = (1 << j) - 1
             mask = np.uint64(sum(low << i for i in range(0, WORD_BITS, 2 * j)))
             shift = np.uint64(j)
-            pairs = blocks.reshape(WORD_BITS // (2 * j), 2, j, -1)
+            pairs = sq.reshape(WORD_BITS // (2 * j), 2, j, -1)
             lo, hi = pairs[:, 0], pairs[:, 1]
             t = swap[: lo.size].reshape(lo.shape)
             np.right_shift(lo, shift, out=t)
@@ -75,8 +84,8 @@ def _transpose_bits(read, r: int, n_cols: int) -> np.ndarray:
             hi ^= t
             t <<= shift
             lo ^= t
-        # Now blocks[c, k, j] is word k0 + k of bit column 64j + c.
-        cols[:, :, k0:k1] = blocks.transpose(2, 0, 1)
+        # Now sq[c, b, j] is word k.start + b of bit column 64j + c.
+        cols[:, :, k] = sq.transpose(2, 0, 1)
     return out[:n_cols]
 
 

@@ -4,9 +4,10 @@ Each real feature becomes T bits, one per quantile threshold; bit i is 1
 iff the value exceeds threshold i. Quantile levels are i/(T+1) for
 i = 1..T with linear interpolation between order statistics, so the T+1
 gaps carry equal probability mass under the training distribution.
-`encode` packs (features x block) slabs straight into signal-major
+`encode` packs (features x ENCODE_BLOCK) slabs straight into signal-major
 words, only the rows of a `read` mask if given (the rest stay zero); a
-slab transposes as uint64 words, then as the squares inside them, in cache.
+slab transposes as uint64 words, then as the squares inside them, in cache,
+and its rows are compared in `blocks` of one WORK_BYTES budget.
 Integer features of up to 32 bits compare in their own dtype.
 """
 
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import WORD_BITS, BitMatrix
+from .bitmatrix import WORD_BITS, BitMatrix, blocks
 from .errors import StructuralError
 
-# Samples per transposed slab; a multiple of 8, so a slab fills whole bytes.
+# Samples per transposed slab, a multiple of 8 so a slab fills whole bytes.
+# Each (slab, signal row) pair costs a gather, a pack and a write: slabs of
+# WORK_BYTES (328 samples at MNIST's width, 80 at CIFAR's) ran 1.2-2.2x slower.
 ENCODE_BLOCK = 512
-ENCODE_ROWS = 512  # signal rows compared at once: 256 KB with a slab
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,8 @@ def encode(encoder: ThermometerEncoder, data, read=None) -> BitMatrix:
         sq = sq.reshape(-1, ENCODE_BLOCK // m, m, m).transpose(0, 3, 1, 2)
         slab = np.ascontiguousarray(sq).reshape(-1, ENCODE_BLOCK)[:, :s]
         cols = slice(lo // 8, (lo + s + 7) // 8)
-        for c in range(0, rows.size, ENCODE_ROWS):
-            r = slice(c, c + ENCODE_ROWS)
+        # A signal row's slab features, their gathered copy and its bits.
+        for r in blocks(rows.size, s * (2 * data.dtype.itemsize + 1)):
             bits = compare(slab[feats[r]], limits[r])
             out[rows[r], cols] = np.packbits(bits, axis=1, bitorder="little")
     return BitMatrix(out.view(np.uint64), n)

@@ -12,7 +12,7 @@ Gradient-guided sampling scans a layer's slots in blocks of SLOT_BLOCK.
 A slot's top R depends only on its own gradients and exclusions, so each
 block is scanned whole on a float64 copy of its own dy columns. Each
 slice of input columns is keyed for the block with one matrix product,
-p = x_slice.T @ dy, written into one buffer that every block reuses.
+p = x_slice.T @ dy, into a buffer of one WORK_BYTES budget (`blocks`).
 Where no summation order can round (_exact_slots) the score
 2p - sum_b dy is exact and increasing in p, so p ranks and ties as the
 score does; other slots are keyed by the sequential oracle score. The
@@ -20,11 +20,11 @@ first slice's R-th key sets each slot's threshold, and later slices only
 collect the (slot, index, key) entries strictly below it: a tie has a
 higher index than R entries already held, and loses. One stable sort by
 (slot, key, index) keeps each slot's best R, and lowers the thresholds,
-whenever the block's collected entries pass COLLECT_BYTES and once at
-the end of the block. Extra memory is O(batch * SLOT_BLOCK) for the
-block's dy, BLOCK_BYTES for the slice and its product, a few slice-sized
-masks, the COLLECT_BYTES bound, and O(S * R) for the result, whatever
-the slot count S or the fan-in width I.
+whenever its working set would pass WORK_BYTES and once at the end of
+the block. Extra memory is O(batch * SLOT_BLOCK) for the block's dy,
+WORK_BYTES each for the slice, the first slice's partition and a
+selection, and O(S * R) for the result, whatever the slot count S or
+the fan-in width I.
 """
 
 from __future__ import annotations
@@ -33,22 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitmatrix
+from .bitmatrix import blocks
 from .errors import StructuralError
 from .model import LayerParams, sample_distinct
 
-# Columns per slice when scoring one slot. A layer goes in blocks of
-# SLOT_BLOCK slots, in slices whose (batch + block) x chunk float64 array
-# is BLOCK_BYTES. Timed on one guided refresh (one BLAS thread) at the desk
-# shape (S = 2000, B = 100, I = 2352) and at S = 24000, B = 20, I = 3072,
-# these ran as fast as 512 to 2048 slots or faster, with a 2.3 MB desk peak.
-CHUNK = 1024
-BLOCK_BYTES = 1 << 20
+# Slots per block of a guided refresh. Its float64 dy columns, 819 KB at
+# B = 100, set the desk refresh peak, 2.36 MB against a 2.45 MB bound.
 SLOT_BLOCK = 1024
-# A guided refresh reselects a block's best R once the entries collected
-# since its last selection, 16 bytes each, pass this many bytes (as many
-# as 1024 slots hold at R = 4). Half this ran slower at both shapes above;
-# twice this was no faster and raised the desk peak by about 0.1 MB.
-COLLECT_BYTES = 1 << 16
 
 
 def connection_scores_chunk(x_cols: np.ndarray, dy_slot: np.ndarray) -> np.ndarray:
@@ -74,20 +66,22 @@ def _exact_slots(dy: np.ndarray) -> np.ndarray:
 
     The same argument makes the test's own sum exact below 2**53 * q, and
     once it reaches that it cannot round back under, so the mask does not
-    depend on the order of the sum. Slots go in blocks whose eight or so
-    temporaries together stay under one slice's BLOCK_BYTES.
+    depend on the order of the sum. q is found in dy's own float type
+    (float32 at least), exactly, on `blocks` of slots of eight or so
+    temporaries of that type.
     """
     B, S = dy.shape
-    step = max(1, BLOCK_BYTES // (64 * max(1, B)))
+    ft = np.result_type(dy.dtype, np.float32)
+    digits = np.finfo(ft).nmant + 1
     exact = np.empty(S, dtype=bool)
-    for a in range(0, S, step):
-        d = dy[:, a : a + step].astype(np.float64)
+    for a in blocks(S, 8 * ft.itemsize * B):
+        d = dy[:, a].astype(ft)
         m, e = np.frexp(d)
-        n = (m * 2.0**53).astype(np.int64)
-        low = np.ldexp((n & -n).astype(np.float64), e - 53)
-        q = np.where(n != 0, low, np.inf)
-        bound = np.ldexp(q.min(axis=0, initial=np.inf), 53)
-        exact[a : a + step] = np.abs(d).sum(axis=0) < bound
+        n = (m * 2.0**digits).astype(f"i{ft.itemsize}")
+        low = np.ldexp((n & -n).astype(ft), e - digits)
+        q = np.where(n != 0, low, np.inf).min(axis=0, initial=np.inf)
+        bound = np.ldexp(q.astype(np.float64), 53)
+        exact[a] = np.abs(d).sum(axis=0, dtype=np.float64) < bound
     return exact
 
 
@@ -123,17 +117,20 @@ def _keep_best(R: int, S: int, parts: list) -> None:
 
 
 def _guided_top_r(
-    R: int, I: int, x: np.ndarray, dy: np.ndarray, kept: np.ndarray, chunk: int
+    R: int, I: int, x: np.ndarray, dy: np.ndarray, kept: np.ndarray,
+    chunk: int | None,
 ) -> np.ndarray:
     """(S, R) indices: for each column s of dy (B, S), the R most negative
     connection gradients outside kept[s], ordered by (score, index).
 
     A slot's top R depends only on its own column of dy and row of kept,
-    so slots go in blocks of SLOT_BLOCK, each scanned whole before the
-    next: its float64 dy columns and exclusions exist only while it runs.
-    A slice of columns is keyed for all of a block's slots at once by the
-    product p = x_slice.T @ dy, (columns, slots), into one buffer reused
-    by every block. On _exact_slots the score 2p - sum_b dy is exact and
+    so slots go in blocks of SLOT_BLOCK (at most 2**16, as _keep_best
+    keys a block's slots as uint16), each scanned whole before the next:
+    its float64 dy columns, exclusions and key buffer exist only while it
+    runs. A slice of `chunk` columns (by default one of `blocks` of
+    (batch + block) float64 columns, and at least R) is keyed for all of
+    a block's slots at once by the product p = x_slice.T @ dy, (columns,
+    slots). On _exact_slots the score 2p - sum_b dy is exact and
     increasing in p, so p ranks and ties as the score does. Other slots
     are keyed by connection_scores_chunk, the oracle itself. Keys are
     only compared within a slot.
@@ -145,20 +142,17 @@ def _guided_top_r(
     S = dy.shape[1]
     top = np.empty((S, R), dtype=np.int64)
     exact = _exact_slots(dy)
-    chunk = max(chunk, R)
-    buf = np.empty(min(chunk, I) * min(S, SLOT_BLOCK))
-    for a in range(0, S, SLOT_BLOCK):
-        b = slice(a, a + SLOT_BLOCK)
-        _block_top_r(
-            R, I, x, dy[:, b].astype(np.float64), kept[b], exact[b], chunk,
-            buf, top[b],
-        )
+    step = min(SLOT_BLOCK, 1 << 16)
+    for a in range(0, S, step):
+        b = slice(a, a + step)
+        d = dy[:, b].astype(np.float64)
+        _block_top_r(R, I, x, d, kept[b], exact[b], chunk, top[b])
     return top
 
 
-def _block_top_r(R, I, x, dy, kept, exact, chunk, buf, top) -> None:
+def _block_top_r(R, I, x, dy, kept, exact, chunk, top) -> None:
     """One block of _guided_top_r: its float64 dy (B, S) and kept rows in,
-    its (S, R) indices written into top. buf holds a slice's keys."""
+    its (S, R) indices written into top."""
     k = np.sort(np.where((kept >= 0) & (kept < I), kept, -1), axis=1)
     k[:, 1:][k[:, 1:] == k[:, :-1]] = -1  # count each exclusion once
     n_excl = (k >= 0).sum(axis=1).max(initial=0)
@@ -175,10 +169,14 @@ def _block_top_r(R, I, x, dy, kept, exact, chunk, buf, top) -> None:
     ex = np.sort(k[k >= 0].astype(np.int64) * S + np.nonzero(k >= 0)[0])
     del k
     loose = np.flatnonzero(~exact)
+    # A column's keys and float64 x, thrice with the oracle's for loose slots.
+    col = 8 * (len(dy) + S) * (3 if loose.size else 1)
+    chunk = max(chunk or blocks(I, col)[0].stop, R)
+    buf = np.empty(min(chunk, I) * S)
     # Each slot's best R so far in (key, index) order, then the entries
-    # collected since, n_new in all. The first slice, at least R wide,
-    # gives every slot its first R.
-    parts, n_new = [], 0
+    # collected since, n in all. The first slice, at least R wide, gives
+    # every slot its first R.
+    parts, n = [], 0
     for lo in range(0, I, chunk):
         hi = min(lo + chunk, I)
         block = buf[: (hi - lo) * S].reshape(hi - lo, S)
@@ -191,15 +189,11 @@ def _block_top_r(R, I, x, dy, kept, exact, chunk, buf, top) -> None:
         block.reshape(-1)[ex[hit] - lo * S] = np.inf
         if lo == 0:
             # The first slice's R-th key sets each slot's threshold, found
-            # a few slots at a time so each partitioned copy stays under
-            # COLLECT_BYTES.
+            # in `blocks` of slots, each a partitioned copy.
             # Of the columns tied at it, the lowest indices complete the R.
             thr = np.empty(S)
-            step = max(1, COLLECT_BYTES // (8 * (hi - lo)))
-            for a in range(0, S, step):
-                thr[a : a + step] = np.partition(
-                    block[:, a : a + step], R - 1, axis=0
-                )[R - 1]
+            for a in blocks(S, 8 * (hi - lo)):
+                thr[a] = np.partition(block[:, a], R - 1, axis=0)[R - 1]
             take = block < thr
             tie = block == thr
             need = R - take.sum(axis=0)
@@ -213,10 +207,10 @@ def _block_top_r(R, I, x, dy, kept, exact, chunk, buf, top) -> None:
         flat = np.flatnonzero(take)
         del take
         parts.append((flat + lo * S, block.reshape(-1)[flat]))
-        n_new += flat.size
-        if 16 * n_new > COLLECT_BYTES and hi < I:
+        n += flat.size
+        if 64 * n > bitmatrix.WORK_BYTES and hi < I:  # 64 B an entry
             _keep_best(R, S, parts)
-            thr, n_new = parts[0][1][R - 1 :: R].copy(), 0
+            thr, n = parts[0][1][R - 1 :: R].copy(), S * R
     _keep_best(R, S, parts)
     top[:] = parts[0][0].reshape(S, R) // S
 
@@ -227,14 +221,14 @@ def sample_gradient_guided(
     x: np.ndarray,
     dy_slot: np.ndarray,
     exclude=(),
-    chunk: int = CHUNK,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Indices of the R most negative connection gradients, streaming.
 
     The single-slot case of the whole-layer scan, in slices of `chunk`
-    columns: peak extra memory is O((batch + 1) * chunk) no matter how
-    wide the layer is. Ties break toward the lower index; excluded
-    (kept) candidates are never returned.
+    columns (by default as many as WORK_BYTES holds): peak extra memory
+    is O((batch + 1) * chunk) no matter how wide the layer is. Ties break
+    toward the lower index; excluded (kept) candidates are never returned.
     """
     kept = np.asarray(list(exclude), dtype=np.int64).reshape(1, -1)
     dy = np.asarray(dy_slot).reshape(-1, 1)
@@ -254,8 +248,8 @@ class RandomSampler:
 class GradientGuidedSampler:
     """Replacement sampling from the most negative connection gradients
     of the most recent training batch. sample_many goes through the slots
-    in blocks of SLOT_BLOCK and the fan-in in slices of BLOCK_BYTES, so
-    apart from its (S, R) result it needs the same memory at any width."""
+    in blocks of SLOT_BLOCK and the fan-in in `blocks`, so apart from its
+    (S, R) result it needs the same memory at any width."""
 
     def __init__(self, x: np.ndarray, dy: np.ndarray):
         # x: (batch, I) layer inputs; dy: (batch, G, 2) slot gradients.
@@ -264,9 +258,7 @@ class GradientGuidedSampler:
 
     def sample_many(self, R: int, I: int, kept: np.ndarray):
         dy = self.dy.reshape(self.dy.shape[0], -1)  # column 2g + j is (g, j)
-        B, S = dy.shape
-        chunk = max(1, BLOCK_BYTES // (8 * (B + min(S, SLOT_BLOCK))))
-        return _guided_top_r(R, I, self.x, dy, kept, chunk)
+        return _guided_top_r(R, I, self.x, dy, kept, None)
 
 
 @dataclass

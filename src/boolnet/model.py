@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import WORD_BITS, BitMatrix
+from .bitmatrix import WORD_BITS, BitMatrix, blocks
 from .errors import StructuralError
 
 N_CODES = 16
-KERNEL_BLOCK_BYTES = 1 << 17  # a word-kernel gate block stays in L2 cache
 
 # Named codes for the tables that pruning and tests refer to by function.
 CONST0 = 0
@@ -356,14 +355,15 @@ def _valid_words_mask(n_samples: int) -> np.ndarray:
 def _eval_layer_words(
     layer: HardLayer, sig_words: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
-    """Gates as multiplexers of table-bit words t_j, a block at a time."""
+    """Gates as multiplexers of table-bit words t_j, in `blocks` of gates
+    whose output and three scratch rows of words stay in cache."""
     bits = (layer.code[:, None] >> np.arange(4)) & 1
     t0, t1, t2, t3 = (0 - bits.T[:, :, None]).astype(np.uint64)
-    step = max(1, KERNEL_BLOCK_BYTES // (8 * max(1, valid.size)))
+    gates = blocks(layer.n_gates, 32 * valid.size)
+    width = gates[0].stop if gates else 0
     out = np.empty((layer.n_gates, valid.size), np.uint64)
-    scratch = np.empty((3, min(step, layer.n_gates), valid.size), np.uint64)
-    for first in range(0, layer.n_gates, step):
-        g = slice(first, first + step)
+    scratch = np.empty((3, width, valid.size), np.uint64)
+    for g in gates:
         o = out[g]
         a, b, x = scratch[:, : o.shape[0]]
         np.take(sig_words, layer.in0[g], axis=0, out=a)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, blocks
 from .errors import ConfigError, StructuralError
 from .interconnect import (
     GradientGuidedSampler,
@@ -30,12 +30,6 @@ from .interconnect import (
 from .model import TABLE_BITS, NetworkModel, eval_circuit, harden, score
 
 SAMPLING_MODES = ("random", "gradient_guided", "none")
-# Bytes of candidate bits connection_gradient gathers per block. Smaller
-# blocks ran slower at the desk shape; larger ones were no faster.
-GATHER_BYTES = 1 << 18
-# Elements per block of Adam's update (64 KB of float32). Smaller blocks
-# ran slower at the wide shape (G = 12000); larger ones were no faster.
-ADAM_BLOCK = 1 << 14
 INTERCONNECT_MODES = ("fixed", "learnable")
 
 
@@ -185,11 +179,10 @@ def connection_gradient(
     whole contiguous batch rows into a (gates, 2, C, B) array, and the sum
     over b runs along the last axis.
 
-    Gates go in blocks of at most GATHER_BYTES gathered bytes (or one
-    gate), so the extra memory stays cache-sized whatever G. Each block's
-    epilogue runs in place and is rounded once into the preallocated
-    output. einsum sums each element over b in an order that does not
-    depend on the block, so the bits are those of one whole gather.
+    Gates go in `blocks`, so the extra memory stays cache-sized whatever
+    G. Each block's epilogue runs in place and is rounded once into the
+    preallocated output. einsum sums each element over b in an order that
+    does not depend on the block, so the bits are those of one whole gather.
 
     Accumulation is in float64. In training x is 0/1, so each product is
     0 or a float32 value of dy, exactly. A float64 sum of B float32
@@ -202,10 +195,9 @@ def connection_gradient(
     x_t = np.ascontiguousarray(np.asarray(x_prev).T)  # (I, B)
     dy = dslot.transpose(1, 2, 0)  # (G, 2, B)
     out = np.empty(candidates.shape, dtype=dtype)
-    gate_bytes = x_t.itemsize * x_t.shape[1] * 2 * candidates.shape[2]
-    step = max(1, GATHER_BYTES // max(1, gate_bytes))
-    for lo in range(0, len(candidates), step):
-        block = slice(lo, lo + step)
+    B, C = x_t.shape[1], candidates.shape[2]
+    gate = 2 * (C * (x_t.itemsize * B + 8) + 8 * B)  # bits, float64 dy, sums
+    for block in blocks(len(candidates), gate):
         xc = np.take(x_t, candidates[block], axis=0)  # (gates, 2, C, B)
         xdy = np.einsum("gjcb,gjb->gjc", xc, dy[block], dtype=np.float64)
         del xc
@@ -372,10 +364,10 @@ def backward(
 class Adam:
     """Plain Adam with the canonical published defaults.
 
-    A step updates each tensor in blocks of leading-axis rows, at most
-    ADAM_BLOCK elements (or one row), through two block buffers, so its
-    extra memory does not grow with the parameters. Each element gets the
-    operations of a whole-array pass, so the bits do not depend on blocks.
+    A step updates each tensor in `blocks` of leading-axis rows, through
+    a float32 and a float64 block buffer, so its extra memory does not
+    grow with the parameters. Each element gets the operations of a
+    whole-array pass, so the bits do not depend on blocks.
     """
 
     beta1 = 0.9
@@ -408,13 +400,12 @@ class Adam:
             m = self.m[key]
             v = self.v[key]
             row = math.prod(p.shape[1:])
-            rows = max(1, ADAM_BLOCK // max(1, row))
-            size = min(len(p), rows) * row
+            rows = blocks(len(p), 28 * row)  # p, m, v, g and both buffers
+            size = rows[0].stop * row if rows else 0
             if buf.size < size:
                 buf = np.empty(size, dtype=np.float32)
                 step = np.empty(size, dtype=step_dtype)
-            for lo in range(0, len(p), rows):
-                block = slice(lo, lo + rows)
+            for block in rows:
                 pb, mb, vb = p[block], m[block], v[block]
                 gb = g[block].astype(np.float32, copy=False)
                 bb = buf[: pb.size].reshape(pb.shape)

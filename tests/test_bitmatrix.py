@@ -138,7 +138,7 @@ def test_one_block_slabs_equal_one_slab(monkeypatch, n, m):
     arr = arr.astype(np.uint8)
     whole = BitMatrix.from_array(arr)
     oracle = _signal_words_oracle(whole)
-    monkeypatch.setattr(bitmatrix, "TRANSPOSE_BYTES", 1)
+    monkeypatch.setattr(bitmatrix, "WORK_BYTES", 1)
     slabs = BitMatrix.from_array(arr)
     assert np.array_equal(slabs.words, oracle)
     assert np.array_equal(slabs.to_array(), arr)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from boolnet import cli, encoding, pruning
+from boolnet import bitmatrix, cli, encoding, interconnect, pruning
 from boolnet import model as model_mod
 from boolnet.bitmatrix import BitMatrix
 from boolnet.cli import main
@@ -1087,3 +1087,61 @@ def test_data_dir_env_var(tmp_path, monkeypatch):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["dataset_provenance"].startswith("mnist-idx:")
+
+
+PIPELINE_INI = """\
+[data]
+dataset = synth
+synth_kind = parity-of-subset
+synth_features = 40
+synth_samples = 700
+
+[encoding]
+mode = thermometer
+thresholds = 2
+
+[model]
+layer_widths = 48 32 8
+
+[train]
+total_epochs = 1
+layers_to_learn = 3
+c = 4
+beta = 2
+batch_size = 50
+sampling_mode = gradient_guided
+seed = 3
+"""
+
+
+def test_one_byte_budget_pipeline_is_bit_identical(tmp_path, monkeypatch):
+    """A guided-refresh training epoch of a 3-layer net, then eval and
+    all four prune passes, with one item per block in every blocked loop
+    (a 1-byte WORK_BYTES, slot blocks of one slot, slabs of 8 samples),
+    writes the parameters, confusion matrix and pruned netlist of the run
+    at the default sizes, byte for byte."""
+    ini = tmp_path / "pipeline.ini"
+    ini.write_text(PIPELINE_INI)
+
+    def run(name):
+        out = tmp_path / name
+        common = ["--config", str(ini)]
+        train = ["train", *common, "--out", str(out / "train"), "--quiet"]
+        assert main(train) == 0
+        ckpt = ["--checkpoint", str(out / "train" / "checkpoint.npz")]
+        assert main(["eval", *common, *ckpt, "--out", str(out / "eval")]) == 0
+        assert main([
+            "prune", *common, *ckpt, "--out", str(out / "prune"),
+            "--similarity-c", "0.6",
+        ]) == 0
+        with np.load(out / "train" / "checkpoint.npz") as data:
+            params = {k: data[k].tobytes() for k in data.files}
+        files = (("eval", "confusion.csv"), ("prune", "pruned.netlist"))
+        return params, [(out / sub / f).read_bytes() for sub, f in files]
+
+    default = run("default")
+    monkeypatch.setattr(bitmatrix, "WORK_BYTES", 1)
+    monkeypatch.setattr(interconnect, "SLOT_BLOCK", 1)
+    monkeypatch.setattr(encoding, "ENCODE_BLOCK", 8)
+    monkeypatch.setattr(pruning, "PAIR_BYTES", 1)
+    assert run("one-byte") == default

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boolnet import interconnect
+from boolnet import bitmatrix, interconnect
 from boolnet.errors import StructuralError
 from boolnet.interconnect import (
     GradientGuidedSampler,
@@ -367,18 +367,18 @@ def test_slice_that_improves_no_slot_is_not_merged(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("collect_bytes", [None, 1])
+@pytest.mark.parametrize("work_bytes", [None, 1])
 @pytest.mark.parametrize("chunk", [1, 5, 10**6])
 def test_threshold_and_collect_matches_per_slot_oracle(
-    chunk, collect_bytes, monkeypatch
+    chunk, work_bytes, monkeypatch
 ):
     """Small integer gradients over a few distinct columns (ties on most
     keys), all-zero gradient slots that tie on every column, loose slots,
     and exclusions with duplicates and out-of-range values: every slot
-    equals its own full argsort. A 1-byte bound runs the selection after
+    equals its own full argsort. A 1-byte budget runs the selection after
     every slice that collects anything, not only once at the end."""
-    if collect_bytes is not None:
-        monkeypatch.setattr(interconnect, "COLLECT_BYTES", collect_bytes)
+    if work_bytes is not None:
+        monkeypatch.setattr(bitmatrix, "WORK_BYTES", work_bytes)
     selections = []
     argsort = np.argsort
 
@@ -411,21 +411,22 @@ def test_threshold_and_collect_matches_per_slot_oracle(
             want = _per_slot_oracle(R, x, dy[:, s], kept[s])
             assert np.array_equal(got[s], want), (trial, s)
         n_slices = -(-I // chunk)
-        if collect_bytes is None or n_slices == 1:
+        if work_bytes is None or n_slices == 1:
             assert sum(selections) == 1
         else:
             assert sum(selections) > 1
     assert paths == {True, False}
 
 
-@pytest.mark.parametrize("slot_block", [2, 3])
+@pytest.mark.parametrize("slot_block", [1, 2, 3])
 def test_slot_blocks_match_per_slot_oracle(slot_block, monkeypatch):
-    """With blocks of 2 or 3 slots, every slot of a call that spans
+    """With blocks of 1, 2 or 3 slots, every slot of a call that spans
     several blocks equals its own full argsort: small integer gradients
     over a few distinct columns (ties within and across slices), all-zero
     slots, loose slots, and exclusions with duplicates and out-of-range
     values. The first slot is repeated as the last, in another block, and
-    gets the same answer there. Each block runs its own selection."""
+    gets the same answer there. Each block runs its own selection. The
+    last trial has a batch of one."""
     monkeypatch.setattr(interconnect, "SLOT_BLOCK", slot_block)
     selections = []
     argsort = np.argsort
@@ -437,8 +438,8 @@ def test_slot_blocks_match_per_slot_oracle(slot_block, monkeypatch):
     monkeypatch.setattr(np, "argsort", counting_argsort)
     rng = np.random.default_rng(400 + slot_block)
     paths = set()
-    for trial in range(30):
-        B = int(rng.integers(1, 25))
+    for trial in range(31):
+        B = int(rng.integers(1, 25)) if trial < 30 else 1
         S = int(rng.integers(slot_block + 1, 12))
         R = int(rng.integers(1, 7))
         I = int(rng.integers(R + 6, 90))
@@ -507,15 +508,16 @@ def _guided_refresh_peak(B, G, I):
 def test_desk_shape_guided_refresh_peak_memory():
     """A guided refresh at the desk shape (S = 2000 slots, B = 100,
     I = 2352) allocates at most 2.45 MB at its peak: the measured peak of
-    2,339,867 bytes plus room for small-object noise. It holds one block
-    of 1024 slots' float64 dy, one 1 MiB slice and a selection. A float64
-    copy of all of dy (1.6 MB), or a second slice buffer, exceeds it."""
+    2,357,369 bytes plus room for small-object noise. It holds one block
+    of 1024 slots' float64 dy, a slice of one WORK_BYTES budget and the
+    first slice's partition. A float64 copy of all of dy (1.6 MB), or a
+    second slice buffer, exceeds it."""
     assert _guided_refresh_peak(100, 1000, 2352) <= 2_450_000
 
 
 def test_paper_width_guided_refresh_peak_memory():
     """At the paper's slot count (G = 12000, so S = 24000; B = 20) a
-    refresh over I = 3072 columns peaks at 2,481,887 bytes, of which
+    refresh over I = 3072 columns peaks at 2,543,425 bytes, of which
     768,000 are its (S, R) int64 result; the rest is the same per-block
     working set as at the desk shape. A float64 copy of all of dy
     (3.84 MB), or one selection over every slot, exceeds the 2.6 MB

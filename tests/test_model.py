@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolnet import bitmatrix
 from boolnet import model as model_mod
 from boolnet.bitmatrix import BitMatrix
 from boolnet.errors import StructuralError
@@ -287,10 +288,9 @@ def test_word_kernel_equals_minterm_formula(
     rng = np.random.default_rng(n_samples + n_gates)
     n_words = -(-n_samples // 64)
     if block_gates is not None:
-        monkeypatch.setattr(
-            model_mod, "KERNEL_BLOCK_BYTES", 8 * n_words * block_gates
-        )
-    step = max(1, model_mod.KERNEL_BLOCK_BYTES // (8 * n_words))
+        block_bytes = 32 * n_words * block_gates
+        monkeypatch.setattr(bitmatrix, "WORK_BYTES", block_bytes)
+    step = max(1, bitmatrix.WORK_BYTES // (32 * n_words))
     assert n_gates % step and (n_gates > step or block_gates is None)
     valid = model_mod._valid_words_mask(n_samples)
     words = rng.integers(0, 1 << 64, size=(40, n_words), dtype=np.uint64)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boolnet import pruning
+from boolnet import bitmatrix, pruning
 from boolnet.bitmatrix import BitMatrix
 from boolnet.cli import main
 from boolnet.data import synth_boolean_task
@@ -892,8 +892,14 @@ def _brute_force_pairs(words, n, c):
     return found
 
 
+def _pair_blocks(monkeypatch, block_bytes):
+    """Both stages of the pair search in blocks of about block_bytes."""
+    monkeypatch.setattr(pruning, "PAIR_BYTES", block_bytes)
+    monkeypatch.setattr(bitmatrix, "WORK_BYTES", block_bytes)
+
+
 @pytest.mark.parametrize("rows", [1, 7, 40])
-def test_pair_correlations_equal_brute_force(rows):
+def test_pair_correlations_equal_brute_force(rows, monkeypatch):
     rng = np.random.default_rng(9)
     n, g = 200, 40
     base = rng.integers(0, 2, size=(n, 4))
@@ -908,13 +914,13 @@ def test_pair_correlations_equal_brute_force(rows):
     want = _brute_force_pairs(words, n, c)
     assert any(rho == c for rho, _, _ in want)
     assert not any(5 in (i, j) or 6 in (i, j) for _, i, j in want)
-    block_bytes = rows * g * words.shape[1] * 8
-    got = _pair_correlations(words, ones, n, c, block_bytes)
+    _pair_blocks(monkeypatch, rows * g * words.shape[1] * 8)
+    got = _pair_correlations(words, ones, n, c)
     assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 96])
-def test_banded_pair_search_equals_brute_force(rows):
+def test_banded_pair_search_equals_brute_force(rows, monkeypatch):
     rng = np.random.default_rng(11)
     n = 300
     # Nested gates with 6, 14, .., 294 ones: a pair's n_ij is its smaller
@@ -936,17 +942,17 @@ def test_banded_pair_search_equals_brute_force(rows):
     # A nested pair's rho. Its float band end, 61.99999999999998, falls
     # short of the partner's 62 ones without the search's slack.
     edge = float(phi_from_counts(n, 38, 62, 38))
-    block_bytes = rows * words.shape[0] * words.shape[1] * 8
+    _pair_blocks(monkeypatch, rows * words.shape[0] * words.shape[1] * 8)
     for c, at_c in ((edge, 1), (1.0, 2), (0.5, 0)):
         assert (bound < c).mean() > 0.4  # pairs the band leaves out
         want = _brute_force_pairs(words, n, c)
         assert sum(rho == c for rho, _, _ in want) >= at_c
-        got = _pair_correlations(words, ones, n, c, block_bytes)
+        got = _pair_correlations(words, ones, n, c)
         assert sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 64])
-def test_prefix_bounded_pair_search_equals_brute_force(rows):
+def test_prefix_bounded_pair_search_equals_brute_force(rows, monkeypatch):
     # 5000 samples are 79 words, so the 32-word prefix is a strict part of
     # each row, and 5000 is not a multiple of 64.
     rng = np.random.default_rng(13)
@@ -972,13 +978,13 @@ def test_prefix_bounded_pair_search_equals_brute_force(rows):
     head = bits[:pre].astype(np.int64)
     p_i, p_ij = head.sum(axis=0), head.T @ head
     bound = p_ij + np.minimum.outer(ones - p_i, ones - p_i)
-    block_bytes = rows * g * pruning.PREFIX_WORDS * 8
+    _pair_blocks(monkeypatch, rows * g * pruning.PREFIX_WORDS * 8)
     exact = _brute_force_pairs(words, n, 0.5)
     for c, at_c in ((exact[len(exact) // 2][0], True), (1.0, True), (0.5, False)):
         want = _brute_force_pairs(words, n, c)
         assert any(rho == c for rho, _, _ in want) == at_c
         assert not any({i, j} & const for _, i, j in want)
-        got = _pair_correlations(words, ones, n, c, block_bytes)
+        got = _pair_correlations(words, ones, n, c)
         assert sorted(got) == sorted(want)
         # Some pair passes the prefix bound but not its full count, so
         # the second stage decides.

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from boolnet import bitmatrix
 from boolnet.bitmatrix import BitMatrix
 from boolnet.data import synth_boolean_task
 from boolnet.errors import ConfigError, StructuralError
@@ -15,8 +16,6 @@ from boolnet.model import (
 )
 from boolnet.serialize import dump_netlist, parse_netlist
 from boolnet.training import (
-    ADAM_BLOCK,
-    GATHER_BYTES,
     Adam,
     EncodedSplits,
     Phase,
@@ -181,13 +180,14 @@ def test_connection_gradient_bit_equals_gather_oracle(B, x_dtype, dy_dtype):
     "x_dtype, dy_dtype", [(np.uint8, np.float32), (np.float64, np.float64)]
 )
 def test_connection_gradient_blocks_bit_equal_gather_oracle(x_dtype, dy_dtype):
-    """connection_gradient gathers GATHER_BYTES of candidate bits at a
-    time. One gate, fewer gates than a block, and a partly filled last
+    """connection_gradient gathers candidate bits in WORK_BYTES blocks of
+    gates. One gate, fewer gates than a block, and a partly filled last
     block all give the one-gather oracle's bits, with gradients whose
     binary exponents span 2**40."""
     rng = np.random.default_rng(11)
     C, B, I = 8, 20, 500
-    per_block = GATHER_BYTES // (np.dtype(x_dtype).itemsize * 2 * C * B)
+    gate_bytes = (np.dtype(x_dtype).itemsize * B + 8) * 2 * C
+    per_block = bitmatrix.WORK_BYTES // gate_bytes
     assert per_block > 3
     for G in (1, per_block // 3, 2 * per_block + 7):
         x = rng.integers(0, 2, size=(B, I)).astype(x_dtype)
@@ -787,16 +787,18 @@ def test_adam_bit_equals_reference_expression(lr_kind):
 
 @pytest.mark.parametrize("lr_kind", ["numpy", "python"])
 def test_adam_blocks_bit_equal_reference_expression(lr_kind):
-    """Tensors of several ADAM_BLOCK-element blocks and a ragged last
-    block, a flat one, and one whose rows each exceed a block: params, m
-    and v equal the whole-array reference bit for bit, for either lr."""
+    """Tensors of several blocks and a ragged last block, a flat one, and
+    one whose rows each exceed a block: params, m and v equal the
+    whole-array reference bit for bit, for either lr. A block holds
+    WORK_BYTES of elements at 28 bytes each."""
     rng = np.random.default_rng(29)
-    G = 3 * (ADAM_BLOCK // 16) + 300
+    block = bitmatrix.WORK_BYTES // 28
+    G = 3 * (block // 16) + 300
     init = {
         "gates": rng.normal(size=(G, 16)).astype(np.float32),
         "conn": rng.normal(size=(G, 2, 8)).astype(np.float32),
-        "flat": rng.normal(size=2 * ADAM_BLOCK + 77).astype(np.float32),
-        "wide_rows": rng.normal(size=(3, ADAM_BLOCK + 5)).astype(np.float32),
+        "flat": rng.normal(size=2 * block + 77).astype(np.float32),
+        "wide_rows": rng.normal(size=(3, block + 5)).astype(np.float32),
     }
     got = {k: v.copy() for k, v in init.items()}
     want = {k: v.copy() for k, v in init.items()}
