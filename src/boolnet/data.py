@@ -56,10 +56,6 @@ class Dataset:
         ):
             raise StructuralError("label outside [0, num_classes)")
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     def indices(self, split: str) -> np.ndarray:
         return np.flatnonzero(self.split == split)
 

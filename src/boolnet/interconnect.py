@@ -263,11 +263,10 @@ class GradientGuidedSampler:
 
 @dataclass
 class RefreshEvent:
-    """Record of one refresh: which slot entries changed and the floor
-    weight each slot's newcomers inherited."""
+    """Record of one refresh: the indices that left each slot and the
+    floor weight each slot's newcomers inherited."""
 
-    old_indices: np.ndarray  # (G, 2, R) int64
-    new_indices: np.ndarray  # (G, 2, R) int64
+    old_indices: np.ndarray  # (G, 2, R) int32
     w_floor: np.ndarray  # (G, 2) float32
 
 
@@ -290,9 +289,7 @@ def refresh_candidates(
     G = layer.n_gates
     if R == 0:
         return RefreshEvent(
-            np.empty((G, 2, 0), dtype=np.int64),
-            np.empty((G, 2, 0), dtype=np.int64),
-            np.zeros((G, 2), dtype=np.float32),
+            np.empty((G, 2, 0), dtype=np.int32), np.zeros((G, 2), np.float32)
         )
 
     cand = layer.candidates.reshape(G * 2, C)
@@ -307,16 +304,9 @@ def refresh_candidates(
         w_floor = np.zeros(G * 2, dtype=weights.dtype)
     kept_idx = cand[rows, kept_pos]
 
-    # Fancy indexing already copies and assignment casts, so the only
-    # copies left are the int64 and float32 ones RefreshEvent documents.
-    old_idx = cand[rows, repl_pos].astype(np.int64)
-    new_idx = sampler.sample_many(R, fan_in_width, kept_idx)
-
-    cand[rows, repl_pos] = new_idx
+    # Fancy indexing already copies and assignment casts.
+    old_idx = cand[rows, repl_pos]
+    cand[rows, repl_pos] = sampler.sample_many(R, fan_in_width, kept_idx)
     weights[rows, repl_pos] = w_floor[:, None]
 
-    return RefreshEvent(
-        old_idx.reshape(G, 2, R),
-        new_idx.reshape(G, 2, R).astype(np.int64, copy=False),
-        w_floor.reshape(G, 2).astype(np.float32, copy=False),
-    )
+    return RefreshEvent(old_idx.reshape(G, 2, R), w_floor.reshape(G, 2))

@@ -303,10 +303,6 @@ class HardCircuit(_Network):
     """Static layered circuit of HardLayers; inputs only ever reference the
     previous layer."""
 
-    @property
-    def n_gates(self) -> int:
-        return sum(self.layer_widths)
-
     def read_inputs(self) -> np.ndarray:
         """Bool mask of the inputs that some layer-0 table depends on."""
         lay, read = self.layers[0], np.zeros(self.input_width, dtype=bool)

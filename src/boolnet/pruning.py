@@ -158,9 +158,6 @@ class PruneReport:
     pass_name: str
     gates_before: list[int]
     kept: list[np.ndarray]  # per layer, the old index of each survivor
-    # (layer, old gate) -> ("gate", layer, survivor old-index)
-    #                    | ("const", bit) | ("dropped", None)
-    reroute: dict = field(default_factory=dict)
     accuracy_after: float | None = None
 
     @property
@@ -208,15 +205,10 @@ def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
             used[0] = True
         keep[li] = used
 
-    report = PruneReport(
-        "trivial", circuit.layer_widths, [np.flatnonzero(k) for k in keep]
-    )
     new_layers = []
     new_of_old = None  # previous layer: old gate -> new index, -1 if gone
     for li, layer in enumerate(circuit.layers):
         kept = keep[li]
-        for gi in np.flatnonzero(~kept).tolist():
-            report.reroute[(li, gi)] = ("dropped", None)
         code, in0, in1 = layer.code[kept], layer.in0[kept], layer.in1[kept]
         if new_of_old is not None:
             in0, in1 = new_of_old[in0], new_of_old[in1]
@@ -233,18 +225,20 @@ def trivial_prune(circuit: HardCircuit) -> tuple[HardCircuit, PruneReport]:
         circuit.input_width, new_layers, circuit.num_classes, circuit.tau
     )
     pruned.validate()
-    return pruned, report
+    return pruned, PruneReport(
+        "trivial", circuit.layer_widths, [np.flatnonzero(k) for k in keep]
+    )
 
 
 def _rewrite(
-    circuit: HardCircuit, name: str, const: dict, rep: dict, reroute: dict
+    circuit: HardCircuit, name: str, const: dict, rep: dict
 ) -> tuple[HardCircuit, PruneReport]:
     """Turn a pass's verdicts into the smaller circuit and its report.
 
     Per layer li, the gates in `const[li] = (gates, bits)` become literal
     constant gates, and readers in layer li + 1 move to the survivor map
     `rep[li]` (old gate -> gate that stands for it). One trivial sweep
-    follows; its drops join `reroute`, where the pass's own records win.
+    follows.
     """
     circuit = circuit.copy()
     for li, layer in enumerate(circuit.layers):
@@ -256,9 +250,7 @@ def _rewrite(
             layer.code[gates] = np.where(bits, CONST1, CONST0)
             layer.in0[gates] = layer.in1[gates] = 0
     pruned, swept = trivial_prune(circuit)
-    for key, val in swept.reroute.items():
-        reroute.setdefault(key, val)
-    return pruned, PruneReport(name, circuit.layer_widths, swept.kept, reroute)
+    return pruned, PruneReport(name, circuit.layer_widths, swept.kept)
 
 
 def _signature_inputs(width: int) -> BitMatrix:
@@ -293,7 +285,6 @@ def logic_equivalence_prune(
     )
     const: dict = {}
     rep: dict = {}
-    reroute: dict = {}
     memo: dict = {}
     for li, (sig, lay) in enumerate(zip(signatures, circuit.layers)):
         is_final = li == len(signatures) - 1
@@ -333,13 +324,8 @@ def logic_equivalence_prune(
         if not is_final:
             gates = gates[lead]
             rep[li] = rep_of
-            for gi in np.flatnonzero(rep_of != np.arange(len(sig))).tolist():
-                reroute[(li, gi)] = (
-                    ("const", int(bit[gi])) if bit[gi] >= 0
-                    else ("gate", li, int(rep_of[gi]))
-                )
         const[li] = (gates, bit[gates])
-    return _rewrite(circuit, "logic-equivalence", const, rep, reroute)
+    return _rewrite(circuit, "logic-equivalence", const, rep)
 
 
 @dataclass
@@ -419,15 +405,11 @@ def greedy_prune(
         raise StructuralError("profile does not match circuit")
     n = profile.sample_count
     const: dict = {}
-    reroute: dict = {}
     for li, ones in enumerate(profile.ones):
         hi = ones / n >= threshold
         gates = np.flatnonzero(hi | ((n - ones) / n >= threshold))
-        bits = hi[gates].astype(int)
-        const[li] = (gates, bits)
-        for gi, bit in zip(gates.tolist(), bits.tolist()):
-            reroute[(li, gi)] = ("const", bit)
-    return _rewrite(circuit, "greedy", const, {}, reroute)
+        const[li] = (gates, hi[gates])
+    return _rewrite(circuit, "greedy", const, {})
 
 
 def phi_from_counts(n: int, ni, nj, nij):
@@ -527,7 +509,6 @@ def similarity_prune(
         raise StructuralError("profile does not match circuit")
     n = profile.sample_count
     rep: dict = {}
-    reroute: dict = {}
     for li in range(len(circuit.layers) - 1):
         n_gates = circuit.layers[li].n_gates
         pairs = _pair_correlations(profile.words[li], profile.ones[li], n, c)
@@ -539,5 +520,4 @@ def similarity_prune(
                 continue
             used[i] = used[j] = True
             rep[li][j] = i
-            reroute[(li, j)] = ("gate", li, i)
-    return _rewrite(circuit, "similarity", {}, rep, reroute)
+    return _rewrite(circuit, "similarity", {}, rep)

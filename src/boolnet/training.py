@@ -72,6 +72,13 @@ class TrainConfig:
             raise ConfigError("epoch counts cannot be negative")
         if self.layers_to_learn < 1:
             raise ConfigError("layers_to_learn must be >= 1")
+        if self.interconnect_mode == "learnable" and (
+            0 < self.total_epochs < self.layers_to_learn
+        ):
+            raise ConfigError(
+                f"train.total_epochs={self.total_epochs} leaves each of the "
+                f"train.layers_to_learn={self.layers_to_learn} phases 0 epochs"
+            )
         if self.sampling_mode not in SAMPLING_MODES:
             raise ConfigError(f"sampling_mode must be one of {SAMPLING_MODES}")
         if self.interconnect_mode not in INTERCONNECT_MODES:
@@ -482,20 +489,26 @@ class EncodedSplits:
     def __post_init__(self):
         if (self.val_x is None) != (self.val_y is None):
             raise StructuralError("the val split needs both inputs and labels")
-        self.train_x = np.ascontiguousarray(self.train_x, dtype=np.uint8)
-        self.train_y = np.asarray(self.train_y, dtype=np.int64)
-        if self.val_x is not None:
-            self.val_x = np.ascontiguousarray(self.val_x, dtype=np.uint8)
-            self.val_y = np.asarray(self.val_y, dtype=np.int64)
         for name, x, y in (
             ("train", self.train_x, self.train_y),
             ("val", self.val_x, self.val_y),
         ):
-            if x is not None and len(x) != len(y):
+            if x is None:
+                continue
+            x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
+            if len(x) != len(y):
                 raise StructuralError(
                     f"the {name} split has {len(x)} input rows "
                     f"but {len(y)} labels"
                 )
+            # Training reads bit 0 of an entry, the hardened circuit any
+            # nonzero entry as 1: only 0 and 1 mean the same to both.
+            if x.size and not (
+                x.max() <= 1 if x.dtype.kind in "bu" else np.isin(x, (0, 1)).all()
+            ):
+                raise StructuralError(f"the {name} inputs are not all 0 or 1")
+            setattr(self, f"{name}_x", np.ascontiguousarray(x, dtype=np.uint8))
+            setattr(self, f"{name}_y", y)
 
 
 @dataclass
@@ -548,6 +561,9 @@ def train(
     n_train = len(splits.train_y)
     if n_train == 0:
         raise ConfigError("the training split is empty")
+    for name, y in (("train", splits.train_y), ("val", splits.val_y)):
+        if y is not None and y.size and not 0 <= y.min() <= y.max() < model.num_classes:
+            raise StructuralError(f"the {name} labels leave [0, {model.num_classes})")
     steps_per_epoch = max(1, -(-n_train // config.batch_size))
 
     metrics: list[MetricRow] = []

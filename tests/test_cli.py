@@ -663,6 +663,19 @@ def test_config_that_cannot_train_exits_2(
     assert key in capsys.readouterr().err
 
 
+def test_fewer_epochs_than_learned_layers_exits_2(synth_run, tmp_path, capsys):
+    """One epoch over two learned layers gives each interconnect phase 0
+    epochs: training would save the untrained model as its checkpoint."""
+    ini, _ = synth_run
+    out = tmp_path / "o"
+    argv = ["train", "--config", str(ini), "--out", str(out), "--quiet",
+            "--set", "train.total_epochs=1", "--set", "train.layers_to_learn=2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "train.total_epochs=1" in err and "train.layers_to_learn=2" in err
+    assert not (out / "checkpoint.npz").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     ["train.tau=nan", "train.tau=inf", "train.lr_init=inf",
@@ -1105,7 +1118,7 @@ layer_widths = 48 32 8
 
 [train]
 total_epochs = 1
-layers_to_learn = 3
+layers_to_learn = 1
 c = 4
 beta = 2
 batch_size = 50

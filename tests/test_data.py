@@ -64,7 +64,7 @@ def _make_mnist_dir(tmp_path, n_train=30, n_test=10, gz=False):
 def test_mnist_idx_round_trip(tmp_path):
     sets = _make_mnist_dir(tmp_path)
     ds = load_mnist_idx(tmp_path, val_size=5, seed=0)
-    assert ds.n_features == 25
+    assert ds.features.shape[1] == 25
     assert len(ds.labels) == 40
     assert ds.num_classes == 10
     assert np.array_equal(
@@ -175,7 +175,7 @@ def test_cifar_round_trip(tmp_path):
     batches = _make_cifar_dir(tmp_path)
     ds = load_cifar10(tmp_path, val_size=3, seed=0)
     assert len(ds.labels) == 24
-    assert ds.n_features == 3072
+    assert ds.features.shape[1] == 3072
     first = batches[CIFAR_TRAIN[0]]
     assert np.array_equal(ds.features[:4], first[:, 1:])
     assert np.array_equal(ds.labels[:4], first[:, 0])

@@ -78,7 +78,7 @@ def test_refresh_zero_budget_is_noop():
     event = refresh_candidates(
         layer, RandomSampler(np.random.default_rng(3)), R=0, fan_in_width=30
     )
-    assert event.new_indices.shape == (1, 2, 0)
+    assert event.old_indices.shape == (1, 2, 0)
     assert np.array_equal(layer.candidates, snap)
 
 

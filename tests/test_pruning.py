@@ -14,6 +14,8 @@ from boolnet.model import (
     AND,
     CONST0,
     CONST1,
+    DEPENDS_A,
+    DEPENDS_B,
     NAND,
     NOR,
     NOT_A,
@@ -53,6 +55,22 @@ def _all_inputs(width: int) -> BitMatrix:
 def _outputs_equal(c1: HardCircuit, c2: HardCircuit) -> bool:
     x = _all_inputs(c1.input_width)
     return eval_circuit(c1, x) == eval_circuit(c2, x)
+
+
+def _reads(before: HardCircuit, after: HardCircuit, kept) -> list:
+    """(layer, gate read before, gate read now) for every read of a hidden
+    gate in `after`, the pruned form of `before` with survivors `kept`;
+    gates go by their index in `before`. Only slots the reader's table
+    depends on count."""
+    reads = []
+    for li in range(1, len(after.layers)):
+        new, old, k = after.layers[li], before.layers[li], kept[li]
+        for src, depends in (("in0", DEPENDS_A), ("in1", DEPENDS_B)):
+            on = depends[new.code]
+            was = getattr(old, src)[k[on]].tolist()
+            now = kept[li - 1][getattr(new, src)[on]].tolist()
+            reads += [(li - 1, a, b) for a, b in zip(was, now)]
+    return reads
 
 
 def _random_circuit(rng, width_in, widths) -> HardCircuit:
@@ -244,8 +262,9 @@ def test_unproved_proposals_stay_unmerged(monkeypatch):
         _layer([(0,), (1,)], [PROJ_A, PROJ_A]),
     )
     pruned, report = logic_equivalence_prune(circuit)
-    assert (4, 1) not in report.reroute
-    assert pruned.layers[4].code.tolist()[:2] == [XOR, OR]
+    assert report.kept[4].tolist() == [0, 1]
+    assert pruned.layers[4].code.tolist() == [XOR, OR]
+    assert pruned.layers[5].in0.tolist() == [0, 1]
     x = _random_inputs(np.random.default_rng(2), 4096, 25)
     assert eval_circuit(circuit, x) == eval_circuit(pruned, x)
 
@@ -261,7 +280,7 @@ def test_trivial_prune_removes_unread_gate():
     pruned, report = trivial_prune(circuit)
     assert pruned.layer_widths == [1, 2]
     assert report.removed == 1
-    assert report.reroute[(0, 1)] == ("dropped", None)
+    assert report.kept[0].tolist() == [0]
     assert _outputs_equal(circuit, pruned)
 
 
@@ -326,7 +345,7 @@ def test_equivalence_merges_swapped_and_gates():
     circuit = HardCircuit(2, [l0, l1], 2, tau=1.0)
     pruned, report = logic_equivalence_prune(circuit)
     assert pruned.layer_widths == [1, 2]
-    assert report.reroute[(0, 1)] == ("gate", 0, 0)
+    assert report.kept[0].tolist() == [0]
     assert _outputs_equal(circuit, pruned)
 
 
@@ -340,7 +359,7 @@ def test_equivalence_propagates_constant_cones():
     assert _outputs_equal(circuit, pruned)
     assert pruned.layer_widths == [1, 2]
     assert pruned.layers[-1].code[0] == CONST0
-    assert report.reroute[(0, 0)] == ("dropped", None)
+    assert report.kept[0].tolist() == [1]
 
 
 def test_equivalence_rewrites_final_layer_constants_in_place():
@@ -378,10 +397,10 @@ def test_equivalence_soundness_random_circuits(seed):
 
 def _oracle_equivalence(circuit: HardCircuit):
     """The bucket algorithm: every gate's cone, compared exactly within
-    sum-of-support buckets in index order, then a trivial pass."""
+    sum-of-support buckets in index order, then a trivial pass. Returns
+    the pruned circuit and the trivial pass's `kept`."""
     circuit = circuit.copy()
     n_layers = len(circuit.layers)
-    reroute = {}
     for li, cones in enumerate(_all_cones(circuit)):
         layer = circuit.layers[li]
         is_final = li == n_layers - 1
@@ -401,20 +420,11 @@ def _oracle_equivalence(circuit: HardCircuit):
                 layer.in0[gi] = layer.in1[gi] = 0
         if not is_final:
             mapping = np.array([rep_of[g] for g in range(layer.n_gates)])
-            for gi, rep in rep_of.items():
-                if rep != gi:
-                    reroute[(li, gi)] = (
-                        ("const", cones[gi].bits)
-                        if cones[gi].is_constant
-                        else ("gate", li, rep)
-                    )
             nxt = circuit.layers[li + 1]
             nxt.in0[:] = mapping[nxt.in0]
             nxt.in1[:] = mapping[nxt.in1]
-    pruned, trivial_report = trivial_prune(circuit)
-    for key, val in trivial_report.reroute.items():
-        reroute.setdefault(key, val)
-    return pruned, reroute
+    pruned, report = trivial_prune(circuit)
+    return pruned, report.kept
 
 
 def _redundant_circuit(rng, width_in, widths) -> HardCircuit:
@@ -447,13 +457,13 @@ def _redundant_circuit(rng, width_in, widths) -> HardCircuit:
 
 def _assert_equals_oracle(circuit: HardCircuit) -> None:
     pruned, report = logic_equivalence_prune(circuit)
-    want, want_reroute = _oracle_equivalence(circuit)
+    want, want_kept = _oracle_equivalence(circuit)
     assert pruned.layer_widths == want.layer_widths
     for got_layer, want_layer in zip(pruned.layers, want.layers):
         assert np.array_equal(got_layer.code, want_layer.code)
         assert np.array_equal(got_layer.in0, want_layer.in0)
         assert np.array_equal(got_layer.in1, want_layer.in1)
-    assert report.reroute == want_reroute
+    assert [k.tolist() for k in report.kept] == [k.tolist() for k in want_kept]
 
 
 def _oracle_circuits():
@@ -570,21 +580,16 @@ def test_equivalence_settles_constant_classes_in_every_layer():
     pruned, report = logic_equivalence_prune(circuit)
     assert _outputs_equal(circuit, pruned)
     _assert_equals_oracle(circuit)
-    merges = {k: v for k, v in report.reroute.items() if v[0] != "dropped"}
-    assert merges == {
-        (0, 2): ("const", 0), (0, 3): ("gate", 0, 0), (0, 5): ("const", 1),
-        (0, 7): ("const", 0), (1, 1): ("const", 0), (1, 4): ("const", 1),
-        (1, 5): ("gate", 1, 3),
-    }
-    # Each reroute names its class's lowest-indexed member.
+    # Gate 3 of layer 0 merges into gate 0 and gate 5 of layer 1 into gate
+    # 3; every other reader of a merged or constant gate became constant.
+    assert [k.tolist() for k in report.kept] == [[0, 6], [3], [0, 1, 2, 3]]
+    assert [lay.code.tolist() for lay in pruned.layers[:2]] == [[AND, OR], [XOR]]
+    # Each read lands on the lowest-indexed gate with the cone it read.
     cones = _all_cones(circuit)
-    for (li, gi), verdict in merges.items():
-        lowest = next(j for j, cone in enumerate(cones[li]) if cone == cones[li][gi])
-        assert lowest < gi
-        assert verdict == (
-            ("const", cones[li][gi].bits) if cones[li][gi].is_constant
-            else ("gate", li, lowest)
-        )
+    reads = _reads(circuit, pruned, report.kept)
+    assert reads == [(0, 0, 0), (0, 6, 6), (1, 3, 3)]
+    for li, was, now in reads:
+        assert now == [c == cones[li][was] for c in cones[li]].index(True)
     # The final layer keeps every gate and gains only constants.
     assert pruned.layers[-1].code.tolist() == [CONST1, CONST0, PROJ_A, CONST0]
 
@@ -657,16 +662,17 @@ def test_incremental_profile_equals_fresh_profile(make, order):
             assert np.array_equal(
                 got.changed[li], (fresh.words[li] != old).any(axis=1)
             )
-        last = len(pruned.layers) - 1
-        seen |= {
-            (kind, li == last) for (li, _), (kind, *_) in report.reroute.items()
-        }
+        const = np.isin(pruned.layers[-1].code, (CONST0, CONST1))
+        if (const & (pruned.layers[-1].code != circuit.layers[-1].code)).any():
+            seen.add("final constant")
+        if any(was != now for _, was, now in _reads(circuit, pruned, report.kept)):
+            seen.add("hidden merge")
         if not any(c.any() for c in got.changed):
             seen.add("no row changed")
         circuit, profile = pruned, got
     # The orders include a pass that changes no row, constants in the
     # final layer, and merges in the hidden layers.
-    assert {"no row changed", ("const", True), ("gate", False)} <= seen
+    assert {"no row changed", "final constant", "hidden merge"} <= seen
 
 
 @pytest.mark.parametrize("order", [
@@ -732,15 +738,15 @@ def test_greedy_rewrites_near_constant_gates():
     data[::2, 1] = 1
     profile = profile_activations(circuit, BitMatrix.from_array(data))
     pruned, report = greedy_prune(circuit, profile, threshold=0.9)
-    assert report.reroute[(0, 0)] == ("const", 1)
-    assert report.reroute[(1, 0)] == ("const", 1)
-    # Both copies of the 90% column went constant; the layer-0 one is then
-    # unread and reclaimed, while the final layer keeps its width.
+    # Both copies of the 90% column went constant 1; the layer-0 one is
+    # then unread and reclaimed, while the final layer keeps its width.
     assert pruned.layer_widths == [1, 2]
-    assert pruned.layers[1].code[0] == CONST1
+    assert report.kept[0].tolist() == [1]
+    assert pruned.layers[1].code.tolist() == [CONST1, PROJ_A]
 
     strict, report2 = greedy_prune(circuit, profile, threshold=0.95)
-    assert (0, 0) not in report2.reroute
+    assert report2.removed == 0
+    assert strict.layers[1].code.tolist() == [PROJ_A, PROJ_A]
 
 
 def test_greedy_threshold_validation():
@@ -802,7 +808,7 @@ def test_similarity_merges_identical_gates():
     profile = profile_activations(circuit, data)
     pruned, report = similarity_prune(circuit, profile, c=1.0)
     assert pruned.layer_widths == [2, 2]
-    assert report.reroute[(0, 1)] == ("gate", 0, 0)
+    assert report.kept[0].tolist() == [0, 2]
     # c=1.0 merges only duplicates: profiling outputs unchanged.
     assert eval_circuit(circuit, data) == eval_circuit(pruned, data)
 
@@ -822,8 +828,9 @@ def test_identical_rows_read_exactly_one():
     l1 = HardLayer(code=[PROJ_A, PROJ_B], in0=[0, 0], in1=[1, 1])
     circuit = HardCircuit(2, [l0, l1], 2, tau=1.0)
     profile = profile_activations(circuit, BitMatrix.from_array(x))
-    _, report = similarity_prune(circuit, profile, c=1.0)
-    assert report.reroute[(0, 1)] == ("gate", 0, 0)
+    pruned, report = similarity_prune(circuit, profile, c=1.0)
+    assert report.kept[0].tolist() == [0]
+    assert _reads(circuit, pruned, report.kept) == [(0, 0, 0), (0, 1, 0)]
 
 
 def test_similarity_skips_anticorrelated_and_constant_gates():
@@ -835,7 +842,8 @@ def test_similarity_skips_anticorrelated_and_constant_gates():
     profile = profile_activations(circuit, _all_inputs(1))
     pruned, report = similarity_prune(circuit, profile, c=0.5)
     # NOT pair is rho=-1; the constant pair has undefined rho. No merges.
-    assert not any(kind == "gate" for kind, *_ in report.reroute.values())
+    assert report.kept[0].tolist() == [0, 3]
+    assert _reads(circuit, pruned, report.kept) == [(0, 0, 0), (0, 3, 3)]
 
 
 def test_similarity_greedy_matching_one_merge_per_gate():
@@ -845,7 +853,7 @@ def test_similarity_greedy_matching_one_merge_per_gate():
     circuit = HardCircuit(1, [l0, l1], 2, tau=1.0)
     profile = profile_activations(circuit, _all_inputs(1))
     pruned, report = similarity_prune(circuit, profile, c=1.0)
-    assert report.reroute[(0, 1)] == ("gate", 0, 0)
+    assert report.kept[0].tolist() == [0, 2]
     assert pruned.layer_widths == [2, 2]
 
 
@@ -875,7 +883,7 @@ def test_similarity_sweep_is_monotone_on_random_circuit():
     counts = []
     for c in (1.0, 0.95, 0.9, 0.8):
         pruned, _ = similarity_prune(circuit, profile, c=c)
-        counts.append(pruned.n_gates)
+        counts.append(sum(pruned.layer_widths))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -1066,31 +1074,34 @@ def test_threshold_one_passes_keep_every_output_bit_on_profiling_set():
                             ("similarity", similarity_prune)):
             pruned, report = prune(circuit, profile, 1.0)
             assert np.array_equal(eval_circuit(pruned, bits).words, outputs)
-            touched[name] += len(report.reroute)
+            touched[name] += report.removed + sum(  # merged or made constant
+                int((p.code != c.code[k]).sum())
+                for p, c, k in zip(pruned.layers, circuit.layers, report.kept)
+            )
     assert min(touched.values()) > 0, touched
 
 
 # ---------------------------------------------------------------- golden
 
-# SHA-256 of each pass's netlist and of its report (widths and sorted
-# reroute items) on the circuit of `test_four_pass_prune_golden`. A
+# SHA-256 of each pass's netlist and of its report (widths and the old
+# index of each survivor) on the circuit of `test_four_pass_prune_golden`. A
 # change that means to alter pruned output updates these and says why.
 GOLDEN_PASSES = {
     "trivial": (
         "83b5e1d0597870272b250fbdb675240d67c580eace1982ad63399355d45215ec",
-        "56746a0ba1e50e27d68d91df9582024c7202150ba60ff7021deb738a2bdbd705",
+        "2435cb297949ca162084708061c9507968a7d0a400fe0be2933efcf75bb6fff6",
     ),
     "logic-equivalence": (
         "991c0b2cddccf0cc847753a56fec6f720c8b3c4c82ad8fa09332938266f92fb2",
-        "2b69d0a88e887973eb2ca7191ad05dde40646795238ed188a6a4d93ebda536d6",
+        "4252ba918f1b6b4fa0434c4072d98ad965d9ddcdb38eeacc58ac0e5c53beddf2",
     ),
     "greedy": (
         "bfcd71a603468002874ae61dea42af4a9a933c9565e037d118bb250f64354e9d",
-        "c4f9f0207d12b05052b3fe72ae9ce81939efb1400a8da8f2a76124f3660477bd",
+        "d7ad7820a708b6ce23040d1072d23c7ab870748e237e12e14d75f51002a1c65a",
     ),
     "similarity": (
         "ce6bda1f790143b43901d8ee5d64483857185002f0f215bb3436b9157d217c29",
-        "5990df3625ec98070aa3d05be8d9319ad6bd80c4fefd1be36506db5b44046a55",
+        "51858627c0baacf70a531d1bcb624fdffe7ab1d92e4ae58ece4fe3232d1295c2",
     ),
 }
 
@@ -1123,6 +1134,6 @@ def test_four_pass_prune_golden():
         got[report.pass_name] = (
             _sha256(dump_netlist(circuit)),
             _sha256(repr((report.gates_before, report.gates_after,
-                          sorted(report.reroute.items())))),
+                          [k.tolist() for k in report.kept]))),
         )
     assert got == GOLDEN_PASSES

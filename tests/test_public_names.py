@@ -4,9 +4,11 @@ A public module-level function or class, or a public method or property
 of a public class, must be named somewhere in `src/` outside its own
 definition, in `perfbench/*.py`, in `tests/test_acceptance.py` or in the
 README's fenced python blocks. A name only unit tests call belongs in
-those tests. Names match loosely, as identifiers (`ast.Name`), attribute
-names (`ast.Attribute`) or imported names; dunder methods are out of
-scope.
+those tests. A function or class matches as an identifier (`ast.Name`),
+an attribute name (`ast.Attribute`) or an imported name. A method or
+property matches only as an attribute name, an imported name or a
+keyword: a bare identifier of the same name, such as a parameter, does
+not use it. Dunder methods are out of scope.
 """
 
 import ast
@@ -17,15 +19,24 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _references(tree: ast.AST):
-    """(name, line) of every identifier, attribute and imported name."""
+    """(name, line, kind) of every identifier, attribute, imported name
+    and keyword."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, "attribute"
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, "import"
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno, "keyword"
+
+
+# The kinds of reference that can use a module-level definition and a
+# class member.
+TOP_LEVEL = {"name", "attribute", "import"}
+MEMBER = {"attribute", "import", "keyword"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -40,8 +51,9 @@ def _public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
-def _outside_users() -> set[str]:
-    """Names referenced by perfbench, the acceptance tests and the README."""
+def _outside_users() -> set[tuple[str, str]]:
+    """(name, kind) of each reference in perfbench, the acceptance tests
+    and the README."""
     trees = [
         ast.parse(path.read_text())
         for path in [*sorted((ROOT / "perfbench").glob("*.py")),
@@ -52,7 +64,7 @@ def _outside_users() -> set[str]:
         ast.parse(block)
         for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     ]
-    return {name for tree in trees for name, _ in _references(tree)}
+    return {(name, kind) for tree in trees for name, _, kind in _references(tree)}
 
 
 def test_every_public_src_name_has_a_user_outside_the_unit_tests():
@@ -66,11 +78,12 @@ def test_every_public_src_name_has_a_user_outside_the_unit_tests():
     for module, tree in modules.items():
         for qualname, node in _public_definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
+            kinds = MEMBER if "." in qualname else TOP_LEVEL
             own = range(node.lineno, node.end_lineno + 1)
-            used = name in outside or any(
-                ref == name and (other != module or line not in own)
+            used = any((name, kind) in outside for kind in kinds) or any(
+                ref == name and kind in kinds and (other != module or line not in own)
                 for other, found in refs.items()
-                for ref, line in found
+                for ref, line, kind in found
             )
             if not used:
                 unused.append(f"{module}: {qualname}")

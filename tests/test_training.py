@@ -600,6 +600,70 @@ def test_encoded_splits_reject_rows_without_one_label_each(
         EncodedSplits(*args)
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize(
+    "value, dtype",
+    [(0.5, np.float64), (-1, np.int64), (2, np.int64), (256, np.int64),
+     (-1.0, np.float32), (2, np.uint8), (255, np.uint8)],
+)
+def test_encoded_splits_reject_inputs_other_than_0_and_1(split, value, dtype):
+    """Training reads bit 0 of an input and the hardened circuit reads any
+    nonzero input as 1, so any other value would train one function and
+    ship another. The check runs before the uint8 cast, which would turn
+    0.5 and 256 into 0."""
+    bad = np.zeros((10, 6), dtype)
+    bad[3, 2] = value
+    x, y = np.ones((10, 6), np.uint8), np.zeros(10, np.int64)
+    args = (bad, y) if split == "train" else (x, y, bad, y)
+    with pytest.raises(StructuralError, match=f"{split} inputs are not all 0 or 1"):
+        EncodedSplits(*args)
+
+
+def test_encoded_splits_take_0_and_1_of_any_dtype():
+    bits = np.random.default_rng(0).integers(0, 2, size=(10, 6))
+    y = np.zeros(10, np.int64)
+    for x in (bits, bits.astype(bool), bits.astype(np.float32), bits.T.copy().T):
+        got = EncodedSplits(x, y, x, y)
+        for split_x in (got.train_x, got.val_x):
+            assert split_x.dtype == np.uint8 and split_x.flags.c_contiguous
+            assert np.array_equal(split_x, bits)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("label", [-1, 2])
+def test_train_rejects_labels_outside_the_classes(split, label):
+    """On a 2-class model, label -1 would train the last class's logit and
+    label 2 would fail in backward with a bare IndexError; both are
+    refused before the first step."""
+    model = random_network(6, [4, 2], 2, candidates_per_slot=3, seed=0)
+    snap = model.copy()
+    x, y = np.zeros((8, 6), np.uint8), np.zeros(8, np.int64)
+    bad = y.copy()
+    bad[5] = label
+    args = (x, bad, x, y) if split == "train" else (x, y, x, bad)
+    with pytest.raises(StructuralError, match=rf"{split} labels leave \[0, 2\)"):
+        train(model, EncodedSplits(*args), TrainConfig(total_epochs=1, C=3))
+    for before, after in zip(snap.layers, model.layers):
+        assert np.array_equal(before.gate_logits, after.gate_logits)
+        assert np.array_equal(before.conn_weights, after.conn_weights)
+
+
+def test_fewer_epochs_than_learned_layers_is_refused():
+    """With total_epochs=1 and layers_to_learn=2 every interconnect phase
+    would get 0 epochs, and training would return the model untouched."""
+    with pytest.raises(
+        ConfigError, match="train.total_epochs=1 .* train.layers_to_learn=2"
+    ):
+        TrainConfig(total_epochs=1, layers_to_learn=2)
+    # No interconnect epochs at all, or a fixed interconnect, stays valid.
+    cfg = TrainConfig(total_epochs=0, finetune_epochs=3, layers_to_learn=2)
+    assert [p.epochs for p in build_phases(cfg, n_layers=2)] == [0, 0, 3]
+    cfg = TrainConfig(total_epochs=1, layers_to_learn=2, interconnect_mode="fixed")
+    assert [p.epochs for p in build_phases(cfg, n_layers=2)] == [1]
+    cfg = TrainConfig(total_epochs=2, layers_to_learn=2)
+    assert [p.epochs for p in build_phases(cfg, n_layers=2)] == [1, 1]
+
+
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -np.inf])
 def test_train_rejects_budget_that_is_not_a_number_at_least_0(budget):
     model = random_network(6, [4, 2], 2, candidates_per_slot=3, seed=0)
