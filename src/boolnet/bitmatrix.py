@@ -4,11 +4,11 @@ A BitMatrix stores a (samples x signals) 0/1 matrix in 64-bit words,
 signal-major: row i holds signal i of every sample, sample s in bit
 (s % 64) of word (s // 64), so one word operation evaluates a gate on 64
 samples. Padding bits past the last sample are zero, so word popcounts
-are exact. Sample-major words (row s holds sample s) exist only inside
-`from_array`, `to_array` and `row_range`, at the boundary with training's
-uint8 arrays: the layouts convert by transposing 64 x 64 bit blocks, a
-transpose that is its own inverse (`_transpose_bits`). The package's
-blocked loops take their slices from `blocks`, sized by one WORK_BYTES.
+are exact. Sample-major words (row s holds sample s) come only from
+`sample_words`: `to_array`, `row_range` and training's packed rows, which
+training unpacks a batch at a time. The layouts convert by transposing
+64 x 64 bit blocks, a transpose that is its own inverse (`_transpose_bits`).
+Blocked loops take their slices from `blocks`, sized by one WORK_BYTES.
 """
 
 from __future__ import annotations
@@ -141,15 +141,15 @@ class BitMatrix:
 
     def to_array(self) -> np.ndarray:
         """Unpack to a (samples x signals) uint8 array."""
-        rows = self._sample_words().view(np.uint8)
+        rows = self.sample_words().view(np.uint8)
         return np.unpackbits(rows, 1, self.n_signals, bitorder="little")
 
     def row_range(self, lo: int, hi: int) -> "BitMatrix":
-        rows = self._sample_words()[lo:hi]
+        rows = self.sample_words()[lo:hi]
         words = _transpose_bits(rows.__getitem__, len(rows), self.n_signals)
         return BitMatrix(words, len(rows))
 
-    def _sample_words(self) -> np.ndarray:
+    def sample_words(self) -> np.ndarray:
         """Sample-major words: row s holds sample s of every signal."""
         read = self.words.__getitem__
         return _transpose_bits(read, self.n_signals, self.n_samples)

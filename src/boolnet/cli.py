@@ -138,7 +138,7 @@ def _encode(
 
 
 def _prepare(cfg, args):
-    """Dataset -> (dataset, encoder, dict of encoded split arrays)."""
+    """Dataset -> (dataset, encoder, dict of (BitMatrix, labels) splits)."""
     d = cfg["data"]
     for key, least in (("limit_train", 1), ("limit_test", 0)):
         if d[key] is not None and d[key] < least:
@@ -162,10 +162,8 @@ def _prepare(cfg, args):
 
     splits = {}
     for name, idx in (("train", tr_idx), ("val", va_idx), ("test", te_idx)):
-        splits[name] = (
-            _encode(encoder, dataset.features[idx]).to_array(),
-            dataset.labels[idx],
-        )
+        splits[name] = (_encode(encoder, dataset.features[idx]),
+                        dataset.labels[idx])
     return dataset, encoder, splits
 
 
@@ -183,7 +181,7 @@ def _write_metrics_csv(path: str, metrics: list[MetricRow]) -> None:
 def cmd_train(args, cfg) -> tuple[str, list[str]]:
     dataset, encoder, splits = _prepare(cfg, args)
     tconf = train_config_from(cfg)
-    input_width = splits["train"][0].shape[1]
+    input_width = splits["train"][0].n_signals
     widths = cfg["model"]["layer_widths"]
     if not widths or min(widths) < 1 or widths[-1] % dataset.num_classes:
         raise ConfigError(f"model.layer_widths {widths} must be positive and "
@@ -205,7 +203,8 @@ def cmd_train(args, cfg) -> tuple[str, list[str]]:
             f"model.layer_widths {widths} with train.c={tconf.C}: {exc}"
         ) from exc
 
-    enc_splits = EncodedSplits(*splits["train"], *splits["val"])
+    # Popped, so that training holds only the packed rows it reads.
+    enc_splits = EncodedSplits(*splits.pop("train"), *splits.pop("val"))
 
     def progress(row: MetricRow) -> None:
         if args.quiet:
@@ -222,12 +221,8 @@ def cmd_train(args, cfg) -> tuple[str, list[str]]:
         budget_seconds=args.budget_seconds, progress=progress,
     )
 
-    test_x, test_y = splits["test"]
-    test_acc, test_loss = (
-        evaluate_arrays(model, test_x, test_y)
-        if len(test_y)
-        else (float("nan"), float("nan"))
-    )
+    test_acc, test_loss = (evaluate_arrays(model, *splits["test"])
+                           if len(splits["test"][1]) else (np.nan, np.nan))
 
     ck_path = os.path.join(args.out, "checkpoint.npz")
     thresholds = None if encoder is None else encoder.thresholds

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -478,37 +478,47 @@ def build_phases(config: TrainConfig, n_layers: int) -> list[Phase]:
 
 @dataclass
 class EncodedSplits:
-    """Binarized training inputs: 0/1 feature matrices plus labels, one
-    label per row. The val split is given whole or not at all."""
+    """Binarized training inputs, each split a 0/1 array or a BitMatrix,
+    plus one label per row. The val split is given whole or not at all.
 
-    train_x: np.ndarray
+    Both splits are kept one bit an entry: the val split as a BitMatrix,
+    the training rows as sample-major packed bytes (`train_rows`, entry i
+    in bit i % 8 of byte i // 8), which `train` unpacks a batch at a time."""
+
+    train_x: InitVar[np.ndarray | BitMatrix]
     train_y: np.ndarray
-    val_x: np.ndarray | None = None
+    val_x: BitMatrix | np.ndarray | None = None
     val_y: np.ndarray | None = None
+    train_rows: np.ndarray = field(init=False, repr=False)
+    n_inputs: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, train_x):
         if (self.val_x is None) != (self.val_y is None):
             raise StructuralError("the val split needs both inputs and labels")
-        for name, x, y in (
-            ("train", self.train_x, self.train_y),
-            ("val", self.val_x, self.val_y),
-        ):
+        bits = {}
+        given = (("train", train_x, self.train_y), ("val", self.val_x, self.val_y))
+        for name, x, y in given:
             if x is None:
                 continue
-            x, y = np.asarray(x), np.asarray(y, dtype=np.int64)
-            if len(x) != len(y):
+            if not isinstance(x, BitMatrix):
+                x = np.asarray(x)
+                # Packing reads any nonzero entry as 1; a value that is not
+                # a bit, such as 0.5 or 2, is refused rather than rounded.
+                if x.size and not (
+                    x.max() <= 1 if x.dtype.kind in "bu" else np.isin(x, (0, 1)).all()
+                ):
+                    raise StructuralError(f"the {name} inputs are not all 0 or 1")
+                x = BitMatrix.from_array(x)
+            y = np.asarray(y, dtype=np.int64)
+            if x.n_samples != len(y):
                 raise StructuralError(
-                    f"the {name} split has {len(x)} input rows "
-                    f"but {len(y)} labels"
+                    f"the {name} split has {x.n_samples} input rows but {len(y)} labels"
                 )
-            # Training reads bit 0 of an entry, the hardened circuit any
-            # nonzero entry as 1: only 0 and 1 mean the same to both.
-            if x.size and not (
-                x.max() <= 1 if x.dtype.kind in "bu" else np.isin(x, (0, 1)).all()
-            ):
-                raise StructuralError(f"the {name} inputs are not all 0 or 1")
-            setattr(self, f"{name}_x", np.ascontiguousarray(x, dtype=np.uint8))
+            bits[name] = x
             setattr(self, f"{name}_y", y)
+        self.val_x = bits.get("val")
+        self.n_inputs = bits["train"].n_signals
+        self.train_rows = bits["train"].sample_words().view(np.uint8)
 
 
 @dataclass
@@ -522,16 +532,17 @@ class MetricRow:
 
 
 def evaluate_arrays(
-    model: NetworkModel, x: np.ndarray, y: np.ndarray
+    model: NetworkModel, x: np.ndarray | BitMatrix, y: np.ndarray
 ) -> tuple[float, float]:
-    """(accuracy, cross-entropy) of the hardened model on 0/1 inputs.
+    """(accuracy, cross-entropy) of the hardened model on a 0/1 array or BitMatrix.
 
     Runs the argmax-hardened circuit on packed words and scores its final
     layer with `model.score`, whose logits equal the training forward's
     exactly.
     """
     circuit = harden(model)
-    final = eval_circuit(circuit, BitMatrix.from_array(x))
+    bits = x if isinstance(x, BitMatrix) else BitMatrix.from_array(x)
+    final = eval_circuit(circuit, bits)
     logits, _, accuracy = score(circuit, final.words, final.n_samples, y)
     return accuracy, cross_entropy(logits, y)
 
@@ -593,7 +604,8 @@ def train(
             loss_sum = 0.0
             for lo in range(0, n_train, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                xb = splits.train_x[idx]
+                xb = np.unpackbits(splits.train_rows[idx], axis=1,
+                                   count=splits.n_inputs, bitorder="little")
                 yb = splits.train_y[idx]
                 cache = _forward_arrays(model, xb)
                 grads = backward(model, cache, yb, phase, plans)
@@ -644,7 +656,7 @@ def train(
                     phase.name,
                 )
             )
-            if splits.val_x is not None and len(splits.val_x):
+            if splits.val_x is not None and splits.val_x.n_samples:
                 acc, vloss = evaluate_arrays(model, splits.val_x, splits.val_y)
                 metrics.append(
                     MetricRow(

@@ -278,9 +278,9 @@ def test_05_equivalence_prune_is_exhaustively_sound(equivalence_suite):
 def test_06_exact_passes_are_idempotent(equivalence_suite):
     for _, once, _ in equivalence_suite.circuits:
         again, rep_t = trivial_prune(once)
-        assert _total_gates(again) == _total_gates(once), rep_t.reroute
+        assert _total_gates(again) == _total_gates(once), rep_t.gates_after
         again, rep_e = logic_equivalence_prune(once)
-        assert _total_gates(again) == _total_gates(once), rep_e.reroute
+        assert _total_gates(again) == _total_gates(once), rep_e.gates_after
 
 
 # ------------------------------------------------ desk-scale MNIST runs

@@ -607,10 +607,9 @@ def test_encoded_splits_reject_rows_without_one_label_each(
      (-1.0, np.float32), (2, np.uint8), (255, np.uint8)],
 )
 def test_encoded_splits_reject_inputs_other_than_0_and_1(split, value, dtype):
-    """Training reads bit 0 of an input and the hardened circuit reads any
-    nonzero input as 1, so any other value would train one function and
-    ship another. The check runs before the uint8 cast, which would turn
-    0.5 and 256 into 0."""
+    """The splits are packed one bit an entry, which reads any nonzero
+    input as 1: a value that is not a bit, such as 0.5 or 256, is refused
+    at construction rather than trained as 1."""
     bad = np.zeros((10, 6), dtype)
     bad[3, 2] = value
     x, y = np.ones((10, 6), np.uint8), np.zeros(10, np.int64)
@@ -624,9 +623,47 @@ def test_encoded_splits_take_0_and_1_of_any_dtype():
     y = np.zeros(10, np.int64)
     for x in (bits, bits.astype(bool), bits.astype(np.float32), bits.T.copy().T):
         got = EncodedSplits(x, y, x, y)
-        for split_x in (got.train_x, got.val_x):
+        rows = np.unpackbits(got.train_rows, axis=1, count=6, bitorder="little")
+        for split_x in (rows, got.val_x.to_array()):
             assert split_x.dtype == np.uint8 and split_x.flags.c_contiguous
             assert np.array_equal(split_x, bits)
+
+
+def test_encoded_splits_take_a_bitmatrix_as_they_take_an_array():
+    """A split given as a BitMatrix unpacks to the same batches as the
+    equal 0/1 array and trains to byte-equal parameters, at widths on both
+    sides of a 64-bit word and row counts that are not multiples of 64. A
+    BitMatrix with a label count of its own is refused, and an empty one
+    leaves nothing to train on."""
+    rng = np.random.default_rng(21)
+    for width, rows in ((1, 70), (63, 131), (64, 65), (65, 100), (130, 191)):
+        x = rng.integers(0, 2, size=(rows, width), dtype=np.uint8)
+        y = rng.integers(0, 2, size=rows)
+        vx, vy = x[: rows // 3], y[: rows // 3]
+        bits, vbits = BitMatrix.from_array(x), BitMatrix.from_array(vx)
+        idx = rng.permutation(rows)[:37]
+        c = min(3, width)
+        cfg = TrainConfig(total_epochs=2, C=c, R=1, beta=2, batch_size=16)
+        trained = []
+        for splits in (EncodedSplits(x, y, vx, vy), EncodedSplits(bits, y, vbits, vy)):
+            batch = np.unpackbits(
+                splits.train_rows[idx], axis=1, count=width, bitorder="little"
+            )
+            assert np.array_equal(batch, x[idx]) and splits.val_x == vbits
+            model = random_network(width, [8, 2], 2, c, seed=width)
+            trained.append(train(model, splits, cfg))
+        (m_arr, rows_arr), (m_bits, rows_bits) = trained
+        assert [r.accuracy for r in rows_arr] == [r.accuracy for r in rows_bits]
+        for a, b in zip(m_arr.layers, m_bits.layers):
+            for name in ("gate_logits", "candidates", "conn_weights"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for args in ((bits, y[:-1]), (bits, y, vbits, vy[1:])):
+            with pytest.raises(StructuralError, match="input rows but"):
+                EncodedSplits(*args)
+    empty = EncodedSplits(BitMatrix.from_array(np.zeros((0, 6))), np.zeros(0))
+    model = random_network(6, [4, 2], 2, candidates_per_slot=3, seed=0)
+    with pytest.raises(ConfigError, match="empty"):
+        train(model, empty, TrainConfig(total_epochs=1, C=3))
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
